@@ -71,10 +71,15 @@ func main() {
 	fmt.Printf("bytes staged gdrive → river: %.1f MB\n", float64(stats.BytesStaged)/1e6)
 
 	fmt.Println("\nper-extractor mean execution time (live measurements):")
-	for _, name := range d.Service.StepDurations.Components() {
-		h := d.Service.StepDurations.Component(name)
+	steps := d.Obs.Reg().HistogramVec("xtract_step_duration_seconds",
+		"Extractor execution time per step.", nil, "extractor")
+	for _, name := range extractors.DefaultLibrary().Names() {
+		h := steps.With(name)
+		if h.Count() == 0 {
+			continue
+		}
 		fmt.Printf("  %-14s %6d invocations  %8.2f ms avg\n",
-			name, h.Count(), h.Mean()*1000)
+			name, h.Count(), h.Sum()/float64(h.Count())*1000)
 	}
 	fmt.Printf("\nvalidated MDF documents: %d\n", d.Validation.Validated.Value())
 }

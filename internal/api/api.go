@@ -745,9 +745,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// an explicit cancel) reaches the pump.
 	ctx, cancel := context.WithCancel(s.baseContext())
 	idCh := make(chan string, 1)
-	opts := core.JobOptions{NoCache: req.NoCache, Tenant: ten}
+	opts := core.JobOptions{NoCache: req.NoCache, Tenant: ten,
+		OnID: func(id string) { idCh <- id }}
 	go func() {
-		stats, err := s.svc.RunJobNotifyOpts(ctx, specs, opts, idCh)
+		stats, err := s.svc.RunJobWithOptions(ctx, specs, opts)
 		cancel()
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -72,7 +72,7 @@ func runChaosSeed(t *testing.T, seed int64, control chaosControlResult) {
 	idCh := make(chan string, 1)
 	jobDone := make(chan error, 1)
 	go func() {
-		_, err := n1.svc.RunJobNotifyOpts(jobCtx, chaosRepos(n1.inv, delay), core.JobOptions{}, idCh)
+		_, err := n1.svc.RunJobWithOptions(jobCtx, chaosRepos(n1.inv, delay), core.JobOptions{OnID: func(id string) { idCh <- id }})
 		jobDone <- err
 	}()
 	jobID := <-idCh

@@ -475,7 +475,7 @@ func TestClusterFailoverMidDispatch(t *testing.T) {
 	idCh := make(chan string, 1)
 	jobDone := make(chan error, 1)
 	go func() {
-		_, err := n1.svc.RunJobNotifyOpts(n1.ctx, chaosRepos(n1.inv, delay), core.JobOptions{}, idCh)
+		_, err := n1.svc.RunJobWithOptions(n1.ctx, chaosRepos(n1.inv, delay), core.JobOptions{OnID: func(id string) { idCh <- id }})
 		jobDone <- err
 	}()
 	jobID := <-idCh

@@ -619,7 +619,8 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 		cancelJob() // the DELETE /api/v1/jobs/{id} path cancels this context
 	}()
 	idCh := make(chan string, 1)
-	_, err := life1.svc.RunJobNotifyOpts(jobCtx, crashRepos(inv1, 2*time.Millisecond), JobOptions{}, idCh)
+	_, err := life1.svc.RunJobWithOptions(jobCtx, crashRepos(inv1, 2*time.Millisecond),
+		JobOptions{OnID: func(id string) { idCh <- id }})
 	if err == nil {
 		t.Fatal("job completed before the cancel landed")
 	}

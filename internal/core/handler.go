@@ -116,8 +116,9 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 			return out
 		}
 	}
-	cpPath := checkpointPath(step.FamilyID, step.GroupID, task.Extractor)
+	var cpPath string
 	if task.Checkpoint {
+		cpPath = checkpointPath(step.FamilyID, step.GroupID, task.Extractor)
 		if data, err := site.Store.Read(cpPath); err == nil {
 			// A checkpoint file holds one JSON object (or null, for an
 			// extractor that returned no metadata); anything else is

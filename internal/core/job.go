@@ -48,7 +48,7 @@ type RepoSpec struct {
 
 // JobStats summarizes a finished job. Every counter is scoped to this
 // job alone — concurrent jobs on one service each report only their own
-// work; the Service-level counters remain as service-lifetime aggregates.
+// work; service-lifetime aggregates are the xtract_* metrics on cfg.Obs.
 type JobStats struct {
 	JobID             string
 	Crawl             crawler.Stats
@@ -107,6 +107,11 @@ type JobOptions struct {
 	// Tenant owns the job for quota, fair-share, and cost accounting
 	// ("" = the default tenant).
 	Tenant string
+	// OnID, when set, is called once with the job's ID as soon as the
+	// job record exists and is journaled, before any family is crawled.
+	// It runs on the submitting goroutine and must not block (the REST
+	// front end hands in a send to a 1-buffered channel).
+	OnID func(jobID string)
 }
 
 // stepRef ties a dispatched step back to its family.
@@ -125,7 +130,6 @@ type famState struct {
 	steps     []validate.StepResult
 	staged    bool
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
-	xferDur   time.Duration
 
 	// prefetchBody is the serialized staging task, kept for re-sends.
 	prefetchBody []byte
@@ -286,19 +290,7 @@ func (p *pump) flushResults() {
 // service dequeues families as the crawler emits them (the paper's
 // "begins extracting data within 3 seconds of the crawler starting").
 func (s *Service) RunJob(ctx context.Context, repos []RepoSpec) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, JobOptions{}, nil)
-}
-
-// RunJobWithOptions is RunJob with per-job overrides.
-func (s *Service) RunJobWithOptions(ctx context.Context, repos []RepoSpec, opts JobOptions) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, opts, nil)
-}
-
-// RunJobNotify is RunJob, additionally delivering the assigned job ID on
-// idCh as soon as the job record exists (used by the REST front end to
-// return a handle before the job completes).
-func (s *Service) RunJobNotify(ctx context.Context, repos []RepoSpec, idCh chan<- string) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, JobOptions{}, idCh)
+	return s.RunJobWithOptions(ctx, repos, JobOptions{})
 }
 
 // journalSpec converts a job's repo list and options to the journal's
@@ -318,14 +310,17 @@ func journalSpec(repos []RepoSpec, opts JobOptions) *journal.JobSpec {
 	return js
 }
 
-// RunJobNotifyOpts is the full-surface job entry point: overrides plus
-// job-ID notification. The job is journaled durably (when a journal is
-// configured) before any work starts, so a crash at any later point can
-// recover it.
-func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts JobOptions, idCh chan<- string) (JobStats, error) {
+// RunJobWithOptions is RunJob with per-job overrides. The job is
+// journaled durably (when a journal is configured) before any work
+// starts, so a crash at any later point can recover it; opts.OnID learns
+// the ID once that record exists.
+func (s *Service) RunJobWithOptions(ctx context.Context, repos []RepoSpec, opts JobOptions) (JobStats, error) {
 	names := make([]string, 0, len(repos))
 	for _, r := range repos {
 		names = append(names, r.SiteName)
+	}
+	if opts.OnID == nil {
+		opts.OnID = func(string) {}
 	}
 	jobID := s.cfg.Registry.CreateJob(tenant.Normalize(opts.Tenant), names, s.clk.Now())
 	if s.cfg.Cluster != nil {
@@ -338,6 +333,7 @@ func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts J
 		// coordination-layer fault.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
 			s.failJob(jobID, tenant.Normalize(opts.Tenant), err)
+			opts.OnID(jobID)
 			return JobStats{JobID: jobID}, err
 		}
 	}
@@ -346,23 +342,7 @@ func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts J
 		JobID: jobID,
 		Spec:  journalSpec(repos, opts),
 	})
-	if idCh != nil {
-		// Never let a slow (or absent) reader stall the job: the REST
-		// front end hands in an unbuffered channel, and a caller that
-		// abandons it must not wedge the pump before the first family is
-		// even crawled. Deliver asynchronously when not immediately
-		// writable, giving up if the job's context ends first.
-		select {
-		case idCh <- jobID:
-		default:
-			go func() {
-				select {
-				case idCh <- jobID:
-				case <-ctx.Done():
-				}
-			}()
-		}
-	}
+	opts.OnID(jobID)
 	s.obs.Emitf(jobID, obs.EvJobSubmitted, "repositories=%s", strings.Join(names, ","))
 	return s.runJob(ctx, jobID, repos, opts)
 }
@@ -896,7 +876,6 @@ func (p *pump) retryOrDeadLetter(st *famState, step scheduler.Step, cause, detai
 	if n < p.s.retry.MaxAttempts && p.budget > 0 {
 		p.budget--
 		p.retried++
-		p.s.StepsRetried.Inc()
 		d := p.s.retry.backoff(st.fam.ID+"/"+step.GroupID+"/"+step.Extractor, n)
 		p.backlog = append(p.backlog, retryItem{
 			at:    p.s.clk.Now().Add(d),
@@ -932,9 +911,7 @@ func (p *pump) deadLetterStep(st *famState, step scheduler.Step, attempts int, c
 	p.deadLettered++
 	p.stepsFailed++
 	p.s.cfg.Tenants.StepFailed(p.tenant)
-	p.s.StepsFailed.Inc()
 	p.s.obsStepsFailed.Inc()
-	p.s.StepsDeadLettered.Inc()
 	p.s.obsDeadLetterStp.Inc()
 	_ = p.s.cfg.Registry.UpdateJob(p.jobID, func(j *registry.JobRecord) {
 		j.AddDeadLetter(registry.DeadLetter{
@@ -968,7 +945,6 @@ func (p *pump) retryStagingOrFail(st *famState, cause string) {
 	if st.stageAttempts < p.s.retry.MaxAttempts && p.budget > 0 {
 		p.budget--
 		p.retried++
-		p.s.StepsRetried.Inc()
 		d := p.s.retry.backoff(st.fam.ID+"/stage", st.stageAttempts)
 		p.backlog = append(p.backlog, retryItem{
 			at:      p.s.clk.Now().Add(d),
@@ -1438,10 +1414,8 @@ func (p *pump) intakeStaged() bool {
 		progress = true
 		if res.OK {
 			delete(p.staging, res.FamilyID)
-			st.xferDur = res.Elapsed
 			p.bytesStaged += res.Bytes
 			p.s.cfg.Tenants.AddBytesStaged(p.tenant, res.Bytes)
-			p.s.BytesStaged.Add(res.Bytes)
 			p.s.obsBytesStaged.Add(float64(res.Bytes))
 			p.s.obs.Emitf(p.jobID, obs.EvFamilyStaged, "family=%s bytes=%d elapsed=%s",
 				res.FamilyID, res.Bytes, res.Elapsed)
@@ -1530,10 +1504,8 @@ func (p *pump) completeFromCache(st *famState, step scheduler.Step, md map[strin
 	p.stepsProcessed++
 	p.cacheHits++
 	p.s.cfg.Tenants.StepDone(p.tenant, 0, true)
-	p.s.GroupsProcessed.Inc()
 	p.s.obsGroupsProcessed.Inc()
 	p.s.obsCacheHits.Inc()
-	p.s.Throughput.Record(p.s.clk.Since(p.start), 1)
 	p.s.obs.Emitf(p.jobID, obs.EvStepCacheHit,
 		"family=%s group=%s extractor=%s replayed from cache",
 		st.fam.ID, step.GroupID, step.Extractor)
@@ -1649,14 +1621,8 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 				p.journalStepCompleted(st.fam.ID, step, outc.Metadata, key, cacheable, false)
 				p.stepsProcessed++
 				p.s.cfg.Tenants.StepDone(p.tenant, dur, false)
-				p.s.GroupsProcessed.Inc()
 				p.s.obsGroupsProcessed.Inc()
-				p.s.Throughput.Record(p.s.clk.Since(p.start), 1)
-				p.s.StepDurations.Observe(step.Extractor, dur)
 				p.s.stepDurationHist(step.Extractor).ObserveDuration(dur)
-				if st.staged {
-					p.s.TransferDurations.Observe(step.Extractor, st.xferDur)
-				}
 			} else {
 				if p.stepMoot(fence) {
 					continue // a hedge attempt owns this step's fate
@@ -1696,7 +1662,6 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 		}
 		if requeued > 0 {
 			p.tasksResubmitted++
-			p.s.TasksResubmitted.Inc()
 			p.s.obsTasksResubmitted.Inc()
 			p.s.obs.Emitf(p.jobID, obs.EvTaskResubmitted, "task=%s steps=%d requeued after backoff", id, requeued)
 		}
@@ -1762,7 +1727,6 @@ func (p *pump) finishIfDone(st *famState) {
 	p.pendingResults = append(p.pendingResults, body)
 	p.pendingBufs = append(p.pendingBufs, buf)
 	p.familiesDone++
-	p.s.FamiliesDone.Inc()
 	p.s.obsFamiliesDone.Inc()
 	p.s.obs.Emitf(p.jobID, obs.EvFamilyDone, "family=%s steps=%d", st.fam.ID, len(st.steps))
 }

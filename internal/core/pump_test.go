@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,41 +12,54 @@ import (
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
+	"xtract/internal/family"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/transfer"
 )
 
-// TestRunJobNotifyUnreadChannel is the regression test for the job-ID
-// notification deadlock: the REST front end hands RunJobNotify an
-// unbuffered channel, and a caller that never reads it must not wedge
-// the pump before the first family is crawled.
-func TestRunJobNotifyUnreadChannel(t *testing.T) {
+// TestOnIDFiresOnceBeforeCrawl pins JobOptions.OnID's contract: the
+// REST front end learns the job ID from it to return a handle before the
+// job completes, so it must fire exactly once, with the job's own ID,
+// before the crawler groups its first directory.
+func TestOnIDFiresOnceBeforeCrawl(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{})
 	defer h.close()
 	seedScience(t, h.sites["theta"], "/mdf")
 
-	idCh := make(chan string) // unbuffered and never read
-	done := make(chan error, 1)
-	go func() {
-		stats, err := h.svc.RunJobNotify(context.Background(), []RepoSpec{{
-			SiteName: "theta",
-			Roots:    []string{"/mdf"},
-			Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
-		}}, idCh)
-		if err == nil && stats.FamiliesDone == 0 {
-			err = fmt.Errorf("no families done: %+v", stats)
+	var calls atomic.Int32
+	var gotID string
+	var groupedEarly atomic.Bool
+	inner := crawler.SingleFileGrouper(extractors.DefaultLibrary())
+	grouper := func(dir string, files []store.FileInfo) []family.Group {
+		if calls.Load() == 0 {
+			groupedEarly.Store(true)
 		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunJobNotify deadlocked on an unread id channel")
+		return inner(dir, files)
+	}
+	stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+		SiteName: "theta",
+		Roots:    []string{"/mdf"},
+		Grouper:  grouper,
+	}}, JobOptions{OnID: func(id string) {
+		gotID = id
+		calls.Add(1)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FamiliesDone == 0 {
+		t.Fatalf("no families done: %+v", stats)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("OnID fired %d times, want 1", n)
+	}
+	if gotID != stats.JobID {
+		t.Fatalf("OnID got %q, job is %q", gotID, stats.JobID)
+	}
+	if groupedEarly.Load() {
+		t.Fatal("crawler grouped a directory before OnID fired")
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/journal"
-	"xtract/internal/metrics"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/registry"
@@ -239,20 +238,6 @@ type Service struct {
 	breakerMu  sync.Mutex
 	breakers   map[string]*breaker
 
-	GroupsProcessed   metrics.Counter
-	FamiliesDone      metrics.Counter
-	StepsFailed       metrics.Counter
-	TasksResubmitted  metrics.Counter
-	BytesStaged       metrics.Counter
-	StepsRetried      metrics.Counter
-	StepsDeadLettered metrics.Counter
-	// Throughput records one point per completed group for Figure 8.
-	Throughput metrics.TimeSeries
-	// StepDurations records per-extractor execution times (Table 3).
-	StepDurations *metrics.Breakdown
-	// TransferDurations records per-extractor staging times (Table 3).
-	TransferDurations *metrics.Breakdown
-
 	// Live observability handles resolved from cfg.Obs (nil-safe).
 	obs                 *obs.Observer
 	obsJobs             *obs.CounterVec
@@ -331,19 +316,17 @@ func New(cfg Config) *Service {
 		cfg.FuncXBatchSize = 16
 	}
 	s := &Service{
-		cfg:               cfg,
-		clk:               cfg.Clock,
-		sites:             make(map[string]*Site),
-		functions:         make(map[[2]string]string),
-		containerOf:       make(map[string]string),
-		ColdStartCost:     0,
-		StepDurations:     metrics.NewBreakdown(),
-		TransferDurations: metrics.NewBreakdown(),
-		obs:               cfg.Obs,
-		retry:             cfg.Retry.withDefaults(),
-		hedge:             cfg.Hedge.withDefaults(),
-		breakerPol:        cfg.Breakers.withDefaults(),
-		breakers:          make(map[string]*breaker),
+		cfg:           cfg,
+		clk:           cfg.Clock,
+		sites:         make(map[string]*Site),
+		functions:     make(map[[2]string]string),
+		containerOf:   make(map[string]string),
+		ColdStartCost: 0,
+		obs:           cfg.Obs,
+		retry:         cfg.Retry.withDefaults(),
+		hedge:         cfg.Hedge.withDefaults(),
+		breakerPol:    cfg.Breakers.withDefaults(),
+		breakers:      make(map[string]*breaker),
 	}
 	if s.hedge.Enabled {
 		s.estimator = newLatencyEstimator(s.hedge)

@@ -41,8 +41,8 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 	go func() {
 		// Mixed-case, padded identity: recovery must see the normalized
 		// form, proving normalization happens at the boundary, not ad hoc.
-		_, err := life1.svc.RunJobNotifyOpts(life1.ctx, crashRepos(inv1, 2*time.Millisecond),
-			JobOptions{Tenant: " Alice "}, idCh)
+		_, err := life1.svc.RunJobWithOptions(life1.ctx, crashRepos(inv1, 2*time.Millisecond),
+			JobOptions{Tenant: " Alice ", OnID: func(id string) { idCh <- id }})
 		jobDone <- err
 	}()
 	jobID := <-idCh

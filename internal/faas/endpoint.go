@@ -104,7 +104,6 @@ type Endpoint struct {
 	wg      sync.WaitGroup
 
 	TasksExecuted metrics.Counter
-	BusyTime      metrics.Histogram
 }
 
 // NewEndpoint creates an endpoint with the given worker count. It must be
@@ -253,9 +252,7 @@ func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 
 	e.containers.Acquire(fn.container)
 	e.clk.Sleep(e.ExecOverheadPerTask)
-	start := e.clk.Now()
 	result, err := e.runHandler(ctx, fn, payload)
-	e.BusyTime.ObserveDuration(e.clk.Since(start))
 	e.containers.Release(fn.container)
 
 	// If the allocation died mid-execution the task is already LOST;

@@ -1,250 +1,20 @@
-// Package metrics provides lightweight counters, histograms, and time
-// series used across Xtract to record throughput, latency breakdowns, and
-// experiment outputs (e.g., the Figure 3 per-component latencies and the
-// Figure 8 throughput trace).
+// Package metrics provides the lock-free per-instance counter that
+// components (crawler, registry, validation, prefetcher, FaaS fabric)
+// expose as plain struct fields. Service-wide metrics live in
+// internal/obs.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"time"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing counter, safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
+// The zero value is ready to use.
+type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n (n may be any non-negative value).
-func (c *Counter) Add(n int64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// Histogram accumulates duration (or arbitrary float) samples and reports
-// summary statistics. It keeps all samples; Xtract experiments record at
-// most a few million points, which is fine at 8 bytes each.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
-}
-
-// Observe records a sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.samples = append(h.samples, v)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the sample mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s / float64(len(h.samples))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank, or 0 for
-// an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
-
-// Max returns the maximum sample, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Min returns the minimum sample, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Stddev returns the population standard deviation of the samples.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Point is one sample in a TimeSeries.
-type Point struct {
-	T time.Duration // offset from series start
-	V float64
-}
-
-// TimeSeries records timestamped values, e.g., cumulative groups processed
-// over time for the Figure 8 trace.
-type TimeSeries struct {
-	mu     sync.Mutex
-	points []Point
-}
-
-// Record appends a point at offset t.
-func (ts *TimeSeries) Record(t time.Duration, v float64) {
-	ts.mu.Lock()
-	ts.points = append(ts.points, Point{T: t, V: v})
-	ts.mu.Unlock()
-}
-
-// Points returns a copy of all recorded points sorted by time.
-func (ts *TimeSeries) Points() []Point {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]Point, len(ts.points))
-	copy(out, ts.points)
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
-}
-
-// Len returns the number of recorded points.
-func (ts *TimeSeries) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.points)
-}
-
-// Bucket aggregates the series into fixed-width windows and returns one
-// value per window: the sum of values recorded within it. Used to turn an
-// event log into a throughput-per-interval plot.
-func (ts *TimeSeries) Bucket(width time.Duration) []Point {
-	pts := ts.Points()
-	if len(pts) == 0 || width <= 0 {
-		return nil
-	}
-	end := pts[len(pts)-1].T
-	n := int(end/width) + 1
-	out := make([]Point, n)
-	for i := range out {
-		out[i].T = time.Duration(i) * width
-	}
-	for _, p := range pts {
-		out[int(p.T/width)].V += p.V
-	}
-	return out
-}
-
-// Breakdown records named latency components, such as the Figure 3
-// crawler/service/funcX/extractor breakdown. Component order is preserved
-// in the order first observed.
-type Breakdown struct {
-	mu    sync.Mutex
-	order []string
-	parts map[string]*Histogram
-}
-
-// NewBreakdown returns an empty Breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{parts: make(map[string]*Histogram)}
-}
-
-// Observe records one latency sample for the named component.
-func (b *Breakdown) Observe(component string, d time.Duration) {
-	b.mu.Lock()
-	h, ok := b.parts[component]
-	if !ok {
-		h = &Histogram{}
-		b.parts[component] = h
-		b.order = append(b.order, component)
-	}
-	b.mu.Unlock()
-	h.ObserveDuration(d)
-}
-
-// Components returns component names in first-observed order.
-func (b *Breakdown) Components() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.order))
-	copy(out, b.order)
-	return out
-}
-
-// Component returns the histogram for a component, or nil if never observed.
-func (b *Breakdown) Component(name string) *Histogram {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.parts[name]
-}
-
-// String renders the breakdown as aligned "component: mean" rows.
-func (b *Breakdown) String() string {
-	var out string
-	for _, name := range b.Components() {
-		out += fmt.Sprintf("%-24s %10.1f ms\n", name, b.Component(name).Mean()*1000)
-	}
-	return out
-}
+func (c *Counter) Value() int64 { return c.v.Load() }

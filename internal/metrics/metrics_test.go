@@ -1,11 +1,8 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -32,169 +29,5 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 10000 {
 		t.Fatalf("Value = %d, want 10000", got)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Max() != 0 || h.Count() != 0 || h.Stddev() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Mean() != 3 {
-		t.Fatalf("Mean = %v, want 3", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if h.Sum() != 15 {
-		t.Fatalf("Sum = %v, want 15", h.Sum())
-	}
-	want := math.Sqrt(2) // population stddev of 1..5
-	if math.Abs(h.Stddev()-want) > 1e-9 {
-		t.Fatalf("Stddev = %v, want %v", h.Stddev(), want)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if q := h.Quantile(0.5); q != 50 {
-		t.Fatalf("median = %v, want 50", q)
-	}
-	if q := h.Quantile(0.99); q != 99 {
-		t.Fatalf("p99 = %v, want 99", q)
-	}
-}
-
-func TestHistogramObserveAfterQuantile(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	_ = h.Quantile(0.5)
-	h.Observe(1) // must re-sort internally
-	if got := h.Min(); got != 1 {
-		t.Fatalf("Min after late observe = %v, want 1", got)
-	}
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	// Property: for any samples, Min <= Quantile(q) <= Max.
-	f := func(vals []float64, q float64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		q = math.Abs(math.Mod(q, 1))
-		var h Histogram
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			h.Observe(v)
-		}
-		x := h.Quantile(q)
-		return x >= h.Min() && x <= h.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(1500 * time.Millisecond)
-	if got := h.Mean(); got != 1.5 {
-		t.Fatalf("Mean = %v, want 1.5", got)
-	}
-}
-
-func TestTimeSeriesOrdering(t *testing.T) {
-	var ts TimeSeries
-	ts.Record(3*time.Second, 1)
-	ts.Record(1*time.Second, 2)
-	ts.Record(2*time.Second, 3)
-	pts := ts.Points()
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].T < pts[i-1].T {
-			t.Fatal("points not sorted by time")
-		}
-	}
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d", ts.Len())
-	}
-}
-
-func TestTimeSeriesBucket(t *testing.T) {
-	var ts TimeSeries
-	ts.Record(0, 1)
-	ts.Record(500*time.Millisecond, 1)
-	ts.Record(1500*time.Millisecond, 1)
-	buckets := ts.Bucket(time.Second)
-	if len(buckets) != 2 {
-		t.Fatalf("buckets = %d, want 2", len(buckets))
-	}
-	if buckets[0].V != 2 || buckets[1].V != 1 {
-		t.Fatalf("bucket values = %v,%v want 2,1", buckets[0].V, buckets[1].V)
-	}
-}
-
-func TestTimeSeriesBucketEmpty(t *testing.T) {
-	var ts TimeSeries
-	if got := ts.Bucket(time.Second); got != nil {
-		t.Fatalf("Bucket on empty = %v, want nil", got)
-	}
-}
-
-func TestTimeSeriesBucketTotalPreserved(t *testing.T) {
-	// Property: bucketing preserves the total of values.
-	f := func(offsets []uint16, width uint16) bool {
-		if len(offsets) == 0 || width == 0 {
-			return true
-		}
-		var ts TimeSeries
-		for _, o := range offsets {
-			ts.Record(time.Duration(o)*time.Millisecond, 1)
-		}
-		var total float64
-		for _, b := range ts.Bucket(time.Duration(width) * time.Millisecond) {
-			total += b.V
-		}
-		return total == float64(len(offsets))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	b.Observe("crawler", 100*time.Millisecond)
-	b.Observe("funcx", 200*time.Millisecond)
-	b.Observe("crawler", 300*time.Millisecond)
-	comps := b.Components()
-	if len(comps) != 2 || comps[0] != "crawler" || comps[1] != "funcx" {
-		t.Fatalf("Components = %v", comps)
-	}
-	if mean := b.Component("crawler").Mean(); mean != 0.2 {
-		t.Fatalf("crawler mean = %v, want 0.2", mean)
-	}
-	if b.Component("missing") != nil {
-		t.Fatal("missing component should be nil")
-	}
-	if b.String() == "" {
-		t.Fatal("String should render rows")
 	}
 }

@@ -257,9 +257,8 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 
 // Histogram returns the unlabeled histogram registered under name.
 // buckets are the upper bounds of the observation buckets, ascending; nil
-// selects DefBuckets. Unlike metrics.Histogram, samples are folded into
-// fixed bucket counts, so memory stays constant no matter how many
-// observations arrive.
+// selects DefBuckets. Samples are folded into fixed bucket counts, so
+// memory stays constant no matter how many observations arrive.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil

@@ -64,12 +64,44 @@ type Queue struct {
 	// more) whenever messages become visible. See Ready.
 	ready chan struct{}
 
-	// Expiry-timer state: a single goroutine (at most one live per
-	// generation) waits on clk.After for the earliest in-flight deadline
-	// so reclaim does not depend on a consumer happening to call a read
-	// op. timerGen invalidates stale waiters after re-arming.
-	timerGen      uint64
-	timerDeadline time.Time // zero when no timer is armed
+	// Expiry-timer state: one armed goroutine waits on clk.After for the
+	// earliest in-flight deadline so reclaim does not depend on a
+	// consumer happening to call a read op. It reaches the queue only
+	// through waiter, which is detached whenever nothing is in flight: a
+	// parked timer must not pin an idle queue (a finished job's private
+	// family queue and its buffers) until a deadline minutes away.
+	waiter        *expiryWaiter
+	timerDeadline time.Time // waiter's deadline; zero when none is armed
+}
+
+// expiryWaiter links an armed expiry goroutine to its queue. q is nil
+// while the queue has nothing in flight (or the waiter was superseded);
+// fired marks a waiter whose goroutine has woken, which a re-arm must
+// replace rather than reattach.
+type expiryWaiter struct {
+	mu    sync.Mutex
+	q     *Queue
+	fired bool
+}
+
+// attach points the waiter at q (nil detaches) and reports whether its
+// goroutine is still waiting.
+func (w *expiryWaiter) attach(q *Queue) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.fired {
+		w.q = q
+	}
+	return !w.fired
+}
+
+// fire marks the waiter's goroutine awake and returns the attached
+// queue, if any.
+func (w *expiryWaiter) fire() *Queue {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.fired = true
+	return w.q
 }
 
 // SetFaults installs (or clears, with nil) the queue's fault hook.
@@ -149,9 +181,9 @@ func (q *Queue) SendBatch(bodies [][]byte) []string {
 // The goroutine signals Ready via reclaimLocked when the deadline lapses
 // and re-arms for the next one. A timer armed for a deadline that was
 // Deleted or Nacked away simply fires, reclaims nothing, and re-arms; a
-// new earlier deadline (a Receive with a shorter visibility) re-arms with
-// a fresh generation, and stale generations return without touching
-// state.
+// timer that fires while its waiter is detached returns without touching
+// the queue. A new earlier deadline (a Receive with a shorter
+// visibility) arms a fresh waiter and detaches the old one.
 func (q *Queue) armExpiryLocked() {
 	if len(q.inflight) == 0 {
 		return
@@ -162,24 +194,40 @@ func (q *Queue) armExpiryLocked() {
 			earliest = e.expiresAt
 		}
 	}
-	if !q.timerDeadline.IsZero() && !q.timerDeadline.After(earliest) {
-		return // already armed at (or before) the earliest deadline
+	if q.waiter != nil {
+		if !q.timerDeadline.After(earliest) && q.waiter.attach(q) {
+			return // already armed at (or before) the earliest deadline
+		}
+		q.waiter.attach(nil)
 	}
-	q.timerGen++
+	w := &expiryWaiter{q: q}
+	q.waiter = w
 	q.timerDeadline = earliest
-	gen := q.timerGen
 	ch := q.clk.After(earliest.Sub(q.clk.Now()))
-	go func() {
+	go func() { // captures only ch and w, never the receiver
 		<-ch
+		q := w.fire()
+		if q == nil {
+			return // detached: idle or superseded
+		}
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		if q.timerGen != gen {
+		if q.waiter != w {
 			return // superseded by a later arm
 		}
+		q.waiter = nil
 		q.timerDeadline = time.Time{}
 		q.reclaimLocked() // signals Ready if anything expired
 		q.armExpiryLocked()
 	}()
+}
+
+// detachIdleLocked releases the armed waiter's hold on the queue once
+// nothing is in flight; the next Receive reattaches or re-arms it.
+func (q *Queue) detachIdleLocked() {
+	if len(q.inflight) == 0 && q.waiter != nil {
+		q.waiter.attach(nil)
+	}
 }
 
 // reclaimLocked moves expired in-flight messages back to the visible
@@ -259,6 +307,7 @@ func (q *Queue) Delete(receipt string) error {
 	}
 	delete(q.inflight, receipt)
 	q.deleted++
+	q.detachIdleLocked()
 	return nil
 }
 
@@ -281,6 +330,7 @@ func (q *Queue) DeleteBatch(receipts []string) int {
 			n++
 		}
 	}
+	q.detachIdleLocked()
 	return n
 }
 
@@ -297,6 +347,7 @@ func (q *Queue) Nack(receipt string) error {
 	e.receipt = ""
 	q.visible = append(q.visible, e)
 	q.notifyLocked()
+	q.detachIdleLocked()
 	return nil
 }
 
@@ -318,6 +369,7 @@ func (q *Queue) ReclaimAll() int {
 	if n > 0 {
 		q.notifyLocked()
 	}
+	q.detachIdleLocked()
 	return n
 }
 

@@ -264,3 +264,69 @@ func TestNoLostWakeups(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestIdleQueueNotPinnedByExpiryTimer: once nothing is in flight, the
+// armed expiry goroutine must no longer reach the queue (a finished
+// job's private family queue would otherwise stay live, buffers and all,
+// until a visibility deadline minutes away), and the timer must still
+// cover messages received afterwards.
+func TestIdleQueueNotPinnedByExpiryTimer(t *testing.T) {
+	q, clk := newTestQueue()
+	q.Send([]byte("a"))
+	a := q.Receive(1, 30*time.Second)
+	w := q.waiter
+	if len(a) != 1 || w == nil {
+		t.Fatal("expected one message and an armed waiter")
+	}
+	if err := q.Delete(a[0].Receipt); err != nil {
+		t.Fatal(err)
+	}
+	if w.q != nil {
+		t.Fatal("idle queue still reachable from its expiry waiter")
+	}
+
+	// A later deadline reattaches the pending waiter instead of arming a
+	// second timer; when it fires it re-arms for the later deadline.
+	q.Send([]byte("b"))
+	if len(q.Receive(1, 60*time.Second)) != 1 {
+		t.Fatal("expected one message")
+	}
+	if q.waiter != w || w.q != q {
+		t.Fatal("pending waiter not reattached")
+	}
+	drainToken(q)
+	clk.Advance(31 * time.Second)
+	select {
+	case <-q.Ready():
+		t.Fatal("token before the in-flight deadline")
+	case <-time.After(100 * time.Millisecond):
+	}
+	clk.Advance(30 * time.Second)
+	select {
+	case <-q.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Ready token at the reattached deadline")
+	}
+	b := q.Receive(1, 10*time.Second)
+	if len(b) != 1 || b[0].Deliveries != 2 {
+		t.Fatalf("expected redelivery of b, got %+v", b)
+	}
+
+	// A waiter that fires while detached returns; the next receive arms
+	// a fresh one.
+	if err := q.Delete(b[0].Receipt); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(11 * time.Second)
+	q.Send([]byte("c"))
+	if len(q.Receive(1, 10*time.Second)) != 1 {
+		t.Fatal("expected one message")
+	}
+	drainToken(q)
+	clk.Advance(11 * time.Second)
+	select {
+	case <-q.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Ready token after the queue went idle and was reused")
+	}
+}

@@ -43,7 +43,6 @@ type Server struct {
 
 	Processed metrics.Counter
 	Failed    metrics.Counter
-	ParseTime metrics.Histogram
 }
 
 // NewServer returns a Tika server with the given thread pool size.
@@ -126,8 +125,6 @@ func (s *Server) Parse(name string, data []byte) Result {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	s.clk.Sleep(s.Overhead)
-	start := s.clk.Now()
-	defer func() { s.ParseTime.ObserveDuration(s.clk.Since(start)) }()
 
 	mime := Detect(name, data)
 	parser, err := s.parserFor(mime)
