@@ -9,6 +9,7 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/faas"
+	"xtract/internal/fastjson"
 	"xtract/internal/queue"
 )
 
@@ -35,14 +36,14 @@ func TestPooledPayloadNotAliasedByQueue(t *testing.T) {
 	const rounds = 200
 	var want []byte
 	for i := 0; i < rounds; i++ {
-		buf := getPayloadBuf()
+		buf := fastjson.GetBuf()
 		*buf = encodeTaskPayload(*buf, &tp)
 		if want == nil {
 			want = append([]byte(nil), *buf...)
 		}
 		q.SendBatch([][]byte{*buf})
 		scribble(buf)
-		putPayloadBuf(buf)
+		fastjson.PutBuf(buf)
 	}
 	var got [][]byte
 	for len(got) < rounds {
@@ -96,7 +97,7 @@ func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 	const rounds = 100
 	var ids []string
 	for i := 0; i < rounds; i++ {
-		buf := getPayloadBuf()
+		buf := fastjson.GetBuf()
 		*buf = encodeTaskPayload(*buf, &tp)
 		if want == nil {
 			want = append([]byte(nil), *buf...)
@@ -108,7 +109,7 @@ func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 		}
 		ids = append(ids, batch...)
 		scribble(buf)
-		putPayloadBuf(buf)
+		fastjson.PutBuf(buf)
 	}
 	for _, id := range ids {
 		if _, err := svc.Wait(id); err != nil {

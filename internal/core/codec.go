@@ -1,56 +1,15 @@
 package core
 
-import (
-	"strings"
-	"sync"
-
-	"xtract/internal/fastjson"
-)
+import "xtract/internal/fastjson"
 
 // This file is the hot-path wire codec for the dispatch pipeline:
 // hand-rolled append-style encoders and pull decoders for the task
 // payload and task result shapes, byte-identical to encoding/json on the
 // same structs (pinned by the equivalence and fuzz suites in
 // codec_test.go). Reflection-driven marshaling was the dominant per-task
-// allocation source; these codecs write into pooled scratch instead.
-//
-// Pool ownership discipline: getPayloadBuf hands out a scratch slice
-// whose bytes may be passed only to copying consumers (queue.Send/
-// SendBatch and faas.SubmitBatch copy every body before returning), and
-// putPayloadBuf must be called only after that hand-off. After release
-// the bytes belong to the next getPayloadBuf caller — never retain or
-// mutate them. DESIGN.md section 16 documents the full rules.
-
-// maxPooledPayload caps the capacity of recycled payload scratch: one
-// giant validation record must not pin its buffer in the pool forever.
-const maxPooledPayload = 1 << 18
-
-// payloadBufPool recycles JSON encode scratch for task payloads and
-// validation records.
-var payloadBufPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 1<<10)
-	return &b
-}}
-
-func getPayloadBuf() *[]byte { return payloadBufPool.Get().(*[]byte) }
-
-func putPayloadBuf(b *[]byte) {
-	if cap(*b) > maxPooledPayload {
-		return
-	}
-	*b = (*b)[:0]
-	payloadBufPool.Put(b)
-}
-
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
-}
+// allocation source; these codecs write into pooled scratch
+// (fastjson.GetBuf) instead. DESIGN.md section 16 documents the pool
+// ownership rules.
 
 // encodeTaskPayload appends t as JSON, byte-identical to
 // encoding/json.Marshal(t).
@@ -110,16 +69,17 @@ func decodeTaskPayload(data []byte, t *taskPayload) error {
 	err := d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "extractor"):
+		case fastjson.FieldIs(key, "extractor"):
 			if !d.Null() {
 				t.Extractor, err = d.Str()
 			}
-		case fieldIs(key, "site"):
+		case fastjson.FieldIs(key, "site"):
 			if !d.Null() {
 				t.Site, err = d.Str()
 			}
-		case fieldIs(key, "steps"):
+		case fastjson.FieldIs(key, "steps"):
 			if d.Null() {
+				t.Steps = nil // null zeroes a slice or map field
 				break
 			}
 			t.Steps = t.Steps[:0]
@@ -139,7 +99,7 @@ func decodeTaskPayload(data []byte, t *taskPayload) error {
 				// non-nil empty slice.
 				t.Steps = []stepPayload{}
 			}
-		case fieldIs(key, "checkpoint"):
+		case fastjson.FieldIs(key, "checkpoint"):
 			if !d.Null() {
 				t.Checkpoint, err = d.Bool()
 			}
@@ -161,16 +121,17 @@ func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
 	return d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "family_id"):
+		case fastjson.FieldIs(key, "family_id"):
 			if !d.Null() {
 				sp.FamilyID, err = d.Str()
 			}
-		case fieldIs(key, "group_id"):
+		case fastjson.FieldIs(key, "group_id"):
 			if !d.Null() {
 				sp.GroupID, err = d.Str()
 			}
-		case fieldIs(key, "files"):
+		case fastjson.FieldIs(key, "files"):
 			if d.Null() {
+				sp.Files = nil // null zeroes a slice or map field
 				break
 			}
 			if sp.Files == nil {
@@ -189,11 +150,11 @@ func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
 				sp.Files[name] = v
 				return nil
 			})
-		case fieldIs(key, "delete_after"):
+		case fastjson.FieldIs(key, "delete_after"):
 			if !d.Null() {
 				sp.DeleteAfter, err = d.Bool()
 			}
-		case fieldIs(key, "fetch_from"):
+		case fastjson.FieldIs(key, "fetch_from"):
 			if !d.Null() {
 				sp.FetchFrom, err = d.Str()
 			}
@@ -269,12 +230,13 @@ func decodeTaskResult(data []byte, r *taskResult) error {
 	err := d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "extractor"):
+		case fastjson.FieldIs(key, "extractor"):
 			if !d.Null() {
 				r.Extractor, err = d.Str()
 			}
-		case fieldIs(key, "outcomes"):
+		case fastjson.FieldIs(key, "outcomes"):
 			if d.Null() {
+				r.Outcomes = nil // null zeroes a slice or map field
 				break
 			}
 			r.Outcomes = r.Outcomes[:0]
@@ -307,43 +269,29 @@ func decodeStepOutcome(d *fastjson.Dec, o *stepOutcome) error {
 	return d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "family_id"):
+		case fastjson.FieldIs(key, "family_id"):
 			if !d.Null() {
 				o.FamilyID, err = d.Str()
 			}
-		case fieldIs(key, "group_id"):
+		case fastjson.FieldIs(key, "group_id"):
 			if !d.Null() {
 				o.GroupID, err = d.Str()
 			}
-		case fieldIs(key, "ok"):
+		case fastjson.FieldIs(key, "ok"):
 			if !d.Null() {
 				o.OK, err = d.Bool()
 			}
-		case fieldIs(key, "err"):
+		case fastjson.FieldIs(key, "err"):
 			if !d.Null() {
 				o.Err, err = d.Str()
 			}
-		case fieldIs(key, "metadata"):
-			if d.Null() {
-				break
-			}
-			if o.Metadata == nil {
-				o.Metadata = make(map[string]interface{}, 8)
-			}
-			err = d.ObjEach(func(k []byte) error {
-				name := string(k)
-				v, e := d.Value()
-				if e != nil {
-					return e
-				}
-				o.Metadata[name] = v
-				return nil
-			})
-		case fieldIs(key, "extract_ms"):
+		case fastjson.FieldIs(key, "metadata"):
+			err = d.ValueMap(&o.Metadata)
+		case fastjson.FieldIs(key, "extract_ms"):
 			if !d.Null() {
 				o.ExtractMS, err = d.Float()
 			}
-		case fieldIs(key, "from_checkpoint"):
+		case fastjson.FieldIs(key, "from_checkpoint"):
 			if !d.Null() {
 				o.FromCheckpoint, err = d.Bool()
 			}

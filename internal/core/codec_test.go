@@ -58,6 +58,9 @@ func TestDecodeTaskPayloadEquivalence(t *testing.T) {
 		`{"extractor":"first","extractor":"second","steps":[{"files":{"a":"1"},"files":{"b":"2"}}],"steps":[{"group_id":"kept"}]}`,
 		// Empty array becomes a non-nil empty slice.
 		`{"steps":[]}`,
+		// Null zeroes slice and map fields.
+		`{"steps":[],"steps":null}`,
+		`{"steps":[{"files":{"a":"b"},"files":null}]}`,
 		// Number/string escapes inside values.
 		`{"site":"\u65e5\u672c\u8a9e \uD83D\uDE00 \n<&>","steps":[{"files":{"\u0000k":"v"}}]}`,
 	}
@@ -139,6 +142,8 @@ func TestDecodeTaskResultEquivalence(t *testing.T) {
 		`{"Extractor":"e","OUTCOMES":[{"ok":false,"err":"boom","extract_ms":3}]}`,
 		`{"outcomes":[null,{"metadata":{"m":{"deep":-2.5e-3}},"from_checkpoint":true}]}`,
 		`{"outcomes":[{"metadata":{"k":"1"},"metadata":{"k2":"2"}}]}`,
+		`{"outcomes":[{"metadata":{"k":"1"},"metadata":null}],"outcomes":[{}]}`,
+		`{"outcomes":[],"outcomes":null}`,
 		`{"outcomes":[]}`,
 	}
 	for _, doc := range docs {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +181,59 @@ func TestEndToEndLocalExtraction(t *testing.T) {
 	}
 	if !foundStructure {
 		t.Fatal("no validated document carries VASP metadata")
+	}
+}
+
+// TestDestinationDocumentsDeterministic runs the same job twice on fresh
+// deployments and requires byte-identical destination documents: a
+// family's file list must not follow map iteration order.
+func TestDestinationDocumentsDeterministic(t *testing.T) {
+	run := func() map[string][]byte {
+		h := newHarness(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{})
+		defer h.close()
+		fs := h.sites["theta"]
+		seedScience(t, fs, "/mdf")
+		for i := 0; i < 12; i++ {
+			p := fmt.Sprintf("/mdf/many/n%02d.txt", i)
+			if err := fs.Write(p, []byte("notes on sample "+p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
+			SiteName: "theta",
+			Roots:    []string{"/mdf"},
+			Grouper:  crawler.DirectoryGrouper(extractors.DefaultLibrary()),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := make(map[string][]byte)
+		deadline := time.Now().Add(10 * time.Second)
+		for int64(len(docs)) < stats.FamiliesDone {
+			h.valsvc.Drain()
+			infos, _ := h.dest.List("/metadata")
+			for _, fi := range infos {
+				data, err := h.dest.Read(fi.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs[fi.Path] = data
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("validated docs = %d, want %d", len(docs), stats.FamiliesDone)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return docs
+	}
+	first, second := run(), run()
+	if len(first) != len(second) || len(first) == 0 {
+		t.Fatalf("runs wrote %d and %d documents", len(first), len(second))
+	}
+	for path, doc := range first {
+		if !bytes.Equal(doc, second[path]) {
+			t.Errorf("%s differs between runs:\n%s\n%s", path, doc, second[path])
+		}
 	}
 }
 

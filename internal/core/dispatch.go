@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xtract/internal/faas"
+	"xtract/internal/fastjson"
 	"xtract/internal/obs"
 	"xtract/internal/scheduler"
 )
@@ -280,7 +281,7 @@ func (d *dispatcher) makeTask(k bucketKey) {
 		Steps:      steps,
 		Checkpoint: d.s.cfg.Checkpoint,
 	}
-	buf := getPayloadBuf()
+	buf := fastjson.GetBuf()
 	*buf = encodeTaskPayload(*buf, &tp)
 	payload := *buf
 	ep := ""
@@ -302,7 +303,7 @@ func (d *dispatcher) submit() {
 	d.reqs, d.refs, d.bufs, d.readyAt, d.hedges = nil, nil, nil, nil, nil
 	ids, err := d.s.cfg.FaaS.SubmitBatch(reqs)
 	for _, b := range bufs {
-		putPayloadBuf(b) // SubmitBatch copied every payload
+		fastjson.PutBuf(b) // SubmitBatch copied every payload
 	}
 	if err != nil {
 		for _, r := range refs {

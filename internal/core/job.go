@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"xtract/internal/crawler"
 	"xtract/internal/faas"
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -277,7 +277,7 @@ func (p *pump) flushResults() {
 	}
 	p.s.cfg.ResultQueue.SendBatch(p.pendingResults)
 	for i, b := range p.pendingBufs {
-		putPayloadBuf(b)
+		fastjson.PutBuf(b)
 		p.pendingResults[i] = nil
 		p.pendingBufs[i] = nil
 	}
@@ -666,10 +666,12 @@ func (p *pump) intakeFamilies() bool {
 		}
 	}
 	receipts := make([]string, 0, len(msgs))
+	var dec fastjson.Dec
 	for _, m := range msgs {
 		receipts = append(receipts, m.Receipt)
+		dec.Reset(m.Body)
 		var fam family.Family
-		if err := json.Unmarshal(m.Body, &fam); err != nil {
+		if err := family.DecodeFrom(&dec, &fam); err != nil {
 			continue
 		}
 		if p.seenFams[fam.ID] {
@@ -1705,6 +1707,7 @@ func (p *pump) finishIfDone(st *famState) {
 	for f := range st.fam.FileMeta {
 		files = append(files, f)
 	}
+	sort.Strings(files) // map order would make the document differ per run
 	rec := validate.Record{
 		JobID:     p.jobID,
 		FamilyID:  st.fam.ID,
@@ -1714,13 +1717,13 @@ func (p *pump) finishIfDone(st *famState) {
 		Metadata:  st.results,
 		Extracted: st.steps,
 	}
-	buf := getPayloadBuf()
+	buf := fastjson.GetBuf()
 	body, err := validate.AppendRecord(*buf, &rec)
 	*buf = body
 	if err != nil {
 		// Unserializable metadata must not vanish silently: surface it
 		// through the dead-letter path and fail the family.
-		putPayloadBuf(buf)
+		fastjson.PutBuf(buf)
 		p.failFamily(st.fam.ID, "result marshal: "+err.Error(), 0)
 		return
 	}

@@ -8,16 +8,17 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
 	"xtract/internal/clock"
 	"xtract/internal/dedup"
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/metrics"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -51,7 +52,8 @@ type Crawler struct {
 	MaxFamilySize int
 	// Seed drives the randomized min-cut for reproducible crawls.
 	Seed int64
-	// Out receives one JSON-serialized family.Family per family.
+	// Out receives one family.Family per family, encoded by
+	// family.AppendJSON (the same bytes as encoding/json).
 	Out *queue.Queue
 	// UseMinTransfers toggles the min-transfers packaging; when false,
 	// each group ships as its own family (the Figure 7 baseline).
@@ -333,27 +335,32 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 		}
 		metaOf[fi.Path] = fm
 	}
+	name := c.Store.Name()
+	buf := fastjson.GetBuf()
+	defer fastjson.PutBuf(buf)
 	for i := range fams {
 		fam := &fams[i]
-		fam.ID = fmt.Sprintf("%s:%s#%d", c.Store.Name(), dir, i)
-		fam.Store = c.Store.Name()
+		fam.ID = familyID(name, dir, i)
+		fam.Store = name
 		fam.BasePath = dir
-		fam.FileMeta = make(map[string]family.FileMeta)
-		seen := make(map[string]bool)
+		fam.FileMeta = make(map[string]family.FileMeta, len(fam.Files))
 		for _, g := range fam.Groups {
 			for _, f := range g.Files {
-				if !seen[f] {
-					seen[f] = true
-					fam.FileMeta[f] = metaOf[f]
-				}
+				fam.FileMeta[f] = metaOf[f]
 			}
 		}
-		body, err := json.Marshal(fam)
+		body, err := family.AppendJSON((*buf)[:0], fam)
+		*buf = body
 		if err != nil {
 			continue
 		}
-		c.Out.Send(body)
+		c.Out.Send(body) // copies the body, so buf is reused next family
 		c.FamiliesEmitted.Inc()
 		c.ObsFamiliesEmitted.Inc()
 	}
+}
+
+// familyID names the i-th family of a directory, "store:dir#i".
+func familyID(store, dir string, i int) string {
+	return store + ":" + dir + "#" + strconv.Itoa(i)
 }

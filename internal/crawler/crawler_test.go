@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"xtract/internal/clock"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/queue"
 	"xtract/internal/store"
 )
@@ -425,5 +427,113 @@ func TestCrawlFingerprintRecordsContentHashes(t *testing.T) {
 	// Hashes are content-addressed: distinct contents, distinct hashes.
 	if len(hashes) < 8 {
 		t.Fatalf("only %d distinct hashes for 8 distinct files", len(hashes))
+	}
+}
+
+// TestFamilyIDFormat pins the concatenated family ID to the
+// fmt.Sprintf("%s:%s#%d") form the journal, recovery and destination
+// document names were built on.
+func TestFamilyIDFormat(t *testing.T) {
+	cases := []struct {
+		store, dir string
+		i          int
+	}{
+		{"petrel", "/data/exp1", 0},
+		{"local", "/", 7},
+		{"gdrive-east", "/a b/ünï#:", 12345},
+		{"", "", 0},
+	}
+	for _, c := range cases {
+		want := fmt.Sprintf("%s:%s#%d", c.store, c.dir, c.i)
+		if got := familyID(c.store, c.dir, c.i); got != want {
+			t.Errorf("familyID(%q, %q, %d) = %q, want %q", c.store, c.dir, c.i, got, want)
+		}
+	}
+}
+
+// TestFamilyScratchNotAliasedByQueue pins the crawler's encode-scratch
+// ownership rule: queue.Send copies each body, so the pooled buffer is
+// reused as soon as Send returns. A scribbler recycles released pool
+// scratch while crawl workers encode and a consumer decodes the queued
+// families; under -race an aliased body trips the detector, and without
+// it the scribbled bytes fail the decode or the file accounting below.
+func TestFamilyScratchNotAliasedByQueue(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	want := make(map[string]bool)
+	for d := 0; d < 40; d++ {
+		for f := 0; f < 6; f++ {
+			p := fmt.Sprintf("/data/d%02d/file%d.txt", d, f)
+			if err := fs.Write(p, []byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			want[p] = true
+		}
+	}
+	out := queue.New("families", clock.NewReal())
+	c := New(fs, SingleFileGrouper(extractors.DefaultLibrary()), out)
+	c.Workers = 4
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // scribbler
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			b := fastjson.GetBuf()
+			s := (*b)[:cap(*b)]
+			for i := range s {
+				s[i] = 'X'
+			}
+			fastjson.PutBuf(b)
+		}
+	}()
+	var bodies [][]byte
+	go func() { // consumer, reading bodies while the crawl still runs
+		defer wg.Done()
+		for {
+			msgs := out.Receive(16, time.Minute)
+			for _, m := range msgs {
+				bodies = append(bodies, m.Body)
+				_ = out.Delete(m.Receipt)
+			}
+			if len(msgs) == 0 {
+				select {
+				case <-done:
+					if out.Len() == 0 {
+						return
+					}
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}
+	}()
+	stats, err := c.Crawl(context.Background(), []string{"/"})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(bodies)) != stats.FamiliesEmitted {
+		t.Fatalf("consumed %d families, crawler emitted %d", len(bodies), stats.FamiliesEmitted)
+	}
+	for _, body := range bodies {
+		var fam family.Family
+		if err := json.Unmarshal(body, &fam); err != nil {
+			t.Fatalf("queued family corrupted by scratch reuse: %v\n%s", err, body)
+		}
+		for p := range fam.FileMeta {
+			if !want[p] {
+				t.Fatalf("family %q carries unknown or duplicate file %q", fam.ID, p)
+			}
+			delete(want, p)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d files never reached the queue intact", len(want))
 	}
 }

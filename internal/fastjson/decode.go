@@ -3,6 +3,7 @@ package fastjson
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -69,6 +70,16 @@ func (d *Dec) lit(s string) bool {
 		return true
 	}
 	return false
+}
+
+// FieldIs reports whether a decoded object key selects the struct field
+// with the given JSON name, using encoding/json's matching: exact first,
+// then case-insensitive.
+func FieldIs(key []byte, name string) bool {
+	if string(key) == name {
+		return true
+	}
+	return strings.EqualFold(string(key), name)
 }
 
 // ObjEach parses a JSON object, invoking fn once per member with the
@@ -314,6 +325,58 @@ func (d *Dec) hex4(off int) rune {
 		}
 	}
 	return r
+}
+
+// Strings consumes a JSON array of strings into *ss with encoding/json's
+// []string semantics: null sets *ss to nil; elements re-decode in place,
+// so slots within capacity keep their prior contents and a null element
+// is a no-op; an empty array yields a non-nil empty slice.
+func (d *Dec) Strings(ss *[]string) error {
+	if d.Null() {
+		*ss = nil
+		return nil
+	}
+	*ss = (*ss)[:0]
+	err := d.ArrEach(func() error {
+		if len(*ss) < cap(*ss) {
+			*ss = (*ss)[:len(*ss)+1]
+		} else {
+			*ss = append(*ss, "")
+		}
+		if d.Null() {
+			return nil
+		}
+		s, err := d.Str()
+		(*ss)[len(*ss)-1] = s
+		return err
+	})
+	if err == nil && *ss == nil {
+		*ss = []string{}
+	}
+	return err
+}
+
+// ValueMap consumes a JSON object into *m with encoding/json's
+// map[string]interface{} semantics: null sets *m to nil, a nil map is
+// allocated first, and members merge into the map last-wins, each value
+// decoded as by Value.
+func (d *Dec) ValueMap(m *map[string]interface{}) error {
+	if d.Null() {
+		*m = nil
+		return nil
+	}
+	if *m == nil {
+		*m = make(map[string]interface{}, 8)
+	}
+	return d.ObjEach(func(key []byte) error {
+		name := string(key)
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		(*m)[name] = v
+		return nil
+	})
 }
 
 // Bool consumes a boolean value.

@@ -20,10 +20,39 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 )
 
 const hexDigits = "0123456789abcdef"
+
+// maxPooledBuf caps the capacity of recycled encode scratch: one giant
+// document must not pin its buffer in the pool forever.
+const maxPooledBuf = 1 << 18
+
+// bufPool recycles encode scratch for the hot-path codecs: task payloads,
+// validation records, crawled families.
+var bufPool = sync.Pool{New: func() interface{} {
+	b := make([]byte, 0, 1<<10)
+	return &b
+}}
+
+// GetBuf hands out empty pooled encode scratch. Its bytes may be passed
+// only to consumers that copy them before returning (queue.Send and
+// SendBatch, faas.SubmitBatch); PutBuf may be called only after that
+// hand-off, and after it the bytes belong to the next GetBuf caller, so
+// the releaser must never read or retain them again.
+func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+// PutBuf returns scratch from GetBuf to the pool; see GetBuf for the
+// ownership rule.
+func PutBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
 
 // AppendString appends s as a JSON string literal, byte-identical to
 // encoding/json.Marshal(s): the default HTML-safe escaping ('<', '>',
@@ -161,17 +190,7 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 		}
 		return AppendStringMap(dst, x), nil
 	case []string:
-		if x == nil {
-			return append(dst, "null"...), nil
-		}
-		dst = append(dst, '[')
-		for i, s := range x {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendString(dst, s)
-		}
-		return append(dst, ']'), nil
+		return AppendStrings(dst, x), nil
 	case map[string]map[string]interface{}:
 		return appendNestedMap(dst, x)
 	default:
@@ -230,6 +249,22 @@ func appendNestedMap(dst []byte, m map[string]map[string]interface{}) ([]byte, e
 		}
 	}
 	return append(dst, '}'), nil
+}
+
+// AppendStrings appends a []string array, byte-identical to
+// encoding/json: a nil slice is null.
+func AppendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
 }
 
 // AppendStringMap appends a map[string]string object with sorted keys,

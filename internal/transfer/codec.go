@@ -1,7 +1,6 @@
 package transfer
 
 import (
-	"strings"
 	"time"
 
 	"xtract/internal/fastjson"
@@ -49,20 +48,21 @@ func DecodePrefetchTask(data []byte, t *PrefetchTask) error {
 	err := d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "family_id"):
+		case fastjson.FieldIs(key, "family_id"):
 			if !d.Null() {
 				t.FamilyID, err = d.Str()
 			}
-		case fieldIs(key, "src"):
+		case fastjson.FieldIs(key, "src"):
 			if !d.Null() {
 				t.Src, err = d.Str()
 			}
-		case fieldIs(key, "dst"):
+		case fastjson.FieldIs(key, "dst"):
 			if !d.Null() {
 				t.Dst, err = d.Str()
 			}
-		case fieldIs(key, "pairs"):
+		case fastjson.FieldIs(key, "pairs"):
 			if d.Null() {
+				t.Pairs = nil // null zeroes a slice or map field
 				break
 			}
 			t.Pairs = t.Pairs[:0]
@@ -100,11 +100,11 @@ func decodeFilePair(d *fastjson.Dec, fp *FilePair) error {
 	return d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "src"):
+		case fastjson.FieldIs(key, "src"):
 			if !d.Null() {
 				fp.Src, err = d.Str()
 			}
-		case fieldIs(key, "dst"):
+		case fastjson.FieldIs(key, "dst"):
 			if !d.Null() {
 				fp.Dst, err = d.Str()
 			}
@@ -150,31 +150,31 @@ func DecodePrefetchResult(data []byte, r *PrefetchResult) error {
 	err := d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "family_id"):
+		case fastjson.FieldIs(key, "family_id"):
 			if !d.Null() {
 				r.FamilyID, err = d.Str()
 			}
-		case fieldIs(key, "src"):
+		case fastjson.FieldIs(key, "src"):
 			if !d.Null() {
 				r.Src, err = d.Str()
 			}
-		case fieldIs(key, "dst"):
+		case fastjson.FieldIs(key, "dst"):
 			if !d.Null() {
 				r.Dst, err = d.Str()
 			}
-		case fieldIs(key, "ok"):
+		case fastjson.FieldIs(key, "ok"):
 			if !d.Null() {
 				r.OK, err = d.Bool()
 			}
-		case fieldIs(key, "err"):
+		case fastjson.FieldIs(key, "err"):
 			if !d.Null() {
 				r.Err, err = d.Str()
 			}
-		case fieldIs(key, "bytes"):
+		case fastjson.FieldIs(key, "bytes"):
 			if !d.Null() {
 				r.Bytes, err = d.Int64()
 			}
-		case fieldIs(key, "elapsed"):
+		case fastjson.FieldIs(key, "elapsed"):
 			if !d.Null() {
 				var ns int64
 				ns, err = d.Int64()
@@ -189,14 +189,4 @@ func DecodePrefetchResult(data []byte, r *PrefetchResult) error {
 		return err
 	}
 	return d.End()
-}
-
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
 }

@@ -57,6 +57,8 @@ func TestDecodePrefetchEquivalence(t *testing.T) {
 		`{"FAMILY_ID":"f","SRC":"s","PAIRS":[{"SRC":"a","DST":"b"}],"unknown":{"x":[1]}}`,
 		`{"pairs":[],"src":null}`,
 		`{"pairs":[{"src":"a","dst":"b"}],"pairs":[{"dst":"kept"}]}`,
+		// Null zeroes a slice field.
+		`{"pairs":[{"src":"a"}],"pairs":null}`,
 	}
 	for _, doc := range taskDocs {
 		var want, got PrefetchTask

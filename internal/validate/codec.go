@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"strings"
 	"time"
 
 	"xtract/internal/fastjson"
@@ -82,53 +81,27 @@ func DecodeRecord(data []byte, rec *Record) error {
 	err := d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "job_id"):
+		case fastjson.FieldIs(key, "job_id"):
 			if !d.Null() {
 				rec.JobID, err = d.Str()
 			}
-		case fieldIs(key, "family_id"):
+		case fastjson.FieldIs(key, "family_id"):
 			if !d.Null() {
 				rec.FamilyID, err = d.Str()
 			}
-		case fieldIs(key, "store"):
+		case fastjson.FieldIs(key, "store"):
 			if !d.Null() {
 				rec.Store, err = d.Str()
 			}
-		case fieldIs(key, "base_path"):
+		case fastjson.FieldIs(key, "base_path"):
 			if !d.Null() {
 				rec.BasePath, err = d.Str()
 			}
-		case fieldIs(key, "files"):
+		case fastjson.FieldIs(key, "files"):
+			err = d.Strings(&rec.Files)
+		case fastjson.FieldIs(key, "metadata"):
 			if d.Null() {
-				break
-			}
-			rec.Files = rec.Files[:0]
-			err = d.ArrEach(func() error {
-				// Grow like encoding/json: slots within capacity keep their
-				// prior contents (visible when a duplicate key re-decodes the
-				// slice), fresh slots are zero; null elements are no-ops.
-				if len(rec.Files) < cap(rec.Files) {
-					rec.Files = rec.Files[:len(rec.Files)+1]
-				} else {
-					rec.Files = append(rec.Files, "")
-				}
-				if d.Null() {
-					return nil
-				}
-				s, e := d.Str()
-				if e != nil {
-					return e
-				}
-				rec.Files[len(rec.Files)-1] = s
-				return nil
-			})
-			if err == nil && rec.Files == nil {
-				// encoding/json turns an empty JSON array into a
-				// non-nil empty slice.
-				rec.Files = []string{}
-			}
-		case fieldIs(key, "metadata"):
-			if d.Null() {
+				rec.Metadata = nil // null zeroes a slice or map field
 				break
 			}
 			if rec.Metadata == nil {
@@ -136,31 +109,19 @@ func DecodeRecord(data []byte, rec *Record) error {
 			}
 			err = d.ObjEach(func(k []byte) error {
 				name := string(k)
-				if d.Null() {
-					rec.Metadata[name] = nil
-					return nil
-				}
 				// Fresh inner map per occurrence: encoding/json zeroes the
 				// map element before decoding, so duplicate outer keys
 				// replace, never merge.
-				inner := make(map[string]interface{}, 8)
-				e := d.ObjEach(func(ik []byte) error {
-					ikey := string(ik)
-					v, e := d.Value()
-					if e != nil {
-						return e
-					}
-					inner[ikey] = v
-					return nil
-				})
-				if e != nil {
+				var inner map[string]interface{}
+				if e := d.ValueMap(&inner); e != nil {
 					return e
 				}
 				rec.Metadata[name] = inner
 				return nil
 			})
-		case fieldIs(key, "extracted"):
+		case fastjson.FieldIs(key, "extracted"):
 			if d.Null() {
+				rec.Extracted = nil // null zeroes a slice or map field
 				break
 			}
 			rec.Extracted = rec.Extracted[:0]
@@ -193,29 +154,29 @@ func decodeStepResult(d *fastjson.Dec, sr *StepResult) error {
 	return d.ObjEach(func(key []byte) error {
 		var err error
 		switch {
-		case fieldIs(key, "group_id"):
+		case fastjson.FieldIs(key, "group_id"):
 			if !d.Null() {
 				sr.GroupID, err = d.Str()
 			}
-		case fieldIs(key, "extractor"):
+		case fastjson.FieldIs(key, "extractor"):
 			if !d.Null() {
 				sr.Extractor, err = d.Str()
 			}
-		case fieldIs(key, "ok"):
+		case fastjson.FieldIs(key, "ok"):
 			if !d.Null() {
 				sr.OK, err = d.Bool()
 			}
-		case fieldIs(key, "err"):
+		case fastjson.FieldIs(key, "err"):
 			if !d.Null() {
 				sr.Err, err = d.Str()
 			}
-		case fieldIs(key, "duration"):
+		case fastjson.FieldIs(key, "duration"):
 			if !d.Null() {
 				var ns int64
 				ns, err = d.Int64()
 				sr.Duration = time.Duration(ns)
 			}
-		case fieldIs(key, "cached"):
+		case fastjson.FieldIs(key, "cached"):
 			if !d.Null() {
 				sr.Cached, err = d.Bool()
 			}
@@ -224,14 +185,4 @@ func decodeStepResult(d *fastjson.Dec, sr *StepResult) error {
 		}
 		return err
 	})
-}
-
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
 }

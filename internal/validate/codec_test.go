@@ -69,6 +69,8 @@ func TestDecodeRecordEquivalence(t *testing.T) {
 		`{"metadata":{"gone":null},"files":[],"extracted":[null]}`,
 		// Duplicate slice keys re-decode in place.
 		`{"files":["a","b"],"files":[null],"extracted":[{"ok":true}],"extracted":[{"err":"e"}]}`,
+		// Null zeroes slice and map fields.
+		`{"files":["a"],"files":null,"metadata":{"g":{}},"metadata":null,"extracted":[{}],"extracted":null}`,
 	}
 	for _, doc := range docs {
 		var want, got Record
