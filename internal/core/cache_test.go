@@ -230,11 +230,10 @@ func TestFinishMarshalErrorDeadLetters(t *testing.T) {
 	})
 	jobID := svc.cfg.Registry.CreateJob("", []string{"x"}, clk.Now())
 	p := &pump{
-		s:        svc,
-		jobID:    jobID,
-		states:   make(map[string]*famState),
-		staging:  make(map[string]*famState),
-		attempts: make(map[stepKey]int),
+		s:       svc,
+		jobID:   jobID,
+		states:  make(map[string]*famState),
+		staging: make(map[string]*famState),
 	}
 	fam := family.Family{ID: "fam-nan", Store: "x", BasePath: "/"}
 	st := &famState{

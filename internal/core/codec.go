@@ -48,9 +48,6 @@ func encodeStepPayload(dst []byte, sp *stepPayload) []byte {
 	} else {
 		dst = fastjson.AppendStringMap(dst, sp.Files)
 	}
-	if sp.DeleteAfter {
-		dst = append(dst, `,"delete_after":true`...)
-	}
 	if sp.FetchFrom != "" {
 		dst = append(dst, `,"fetch_from":`...)
 		dst = fastjson.AppendString(dst, sp.FetchFrom)
@@ -150,10 +147,6 @@ func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
 				sp.Files[name] = v
 				return nil
 			})
-		case fastjson.FieldIs(key, "delete_after"):
-			if !d.Null() {
-				sp.DeleteAfter, err = d.Bool()
-			}
 		case fastjson.FieldIs(key, "fetch_from"):
 			if !d.Null() {
 				sp.FetchFrom, err = d.Str()

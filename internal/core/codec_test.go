@@ -17,7 +17,7 @@ func taskPayloadCases() []taskPayload {
 		{Extractor: "keyword", Site: "local", Checkpoint: true,
 			Steps: []stepPayload{
 				{FamilyID: "f1", GroupID: "g1", Files: map[string]string{"/a.txt": "/stage/a.txt"}},
-				{FamilyID: "f2", GroupID: "g2", Files: map[string]string{}, DeleteAfter: true},
+				{FamilyID: "f2", GroupID: "g2", Files: map[string]string{}},
 				{FamilyID: "f3", GroupID: "g3", FetchFrom: "gdrive-east"},
 			}},
 		{Extractor: `tab"ular\`, Site: "päth/<&>", Steps: []stepPayload{

@@ -266,6 +266,45 @@ func TestEndToEndStagingFromStorageOnlySite(t *testing.T) {
 	}
 }
 
+// TestDeleteStagedKeepsCopiesForSuggestedSteps stages a table-bearing
+// .txt file from a storage-only home to a compute site that deletes
+// staged copies. keyword's result suggests tabular over the same staged
+// file, so the copy must outlive keyword's step: the family completes
+// with both steps, and the copy is gone once the family is terminal.
+func TestDeleteStagedKeepsCopiesForSuggestedSteps(t *testing.T) {
+	h := newHarness(t, []siteSpec{
+		{name: "petrel", workers: 0},
+		{name: "river", workers: 2},
+	}, scheduler.LocalPolicy{})
+	defer h.close()
+	river, _ := h.svc.Site("river")
+	river.DeleteStaged = true
+	if err := h.sites["petrel"].Write("/d/table.txt", []byte("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
+		SiteName: "petrel",
+		Roots:    []string{"/d"},
+		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FamiliesDone != 1 || stats.FamiliesFailed != 0 || stats.StepsDeadLettered != 0 {
+		t.Fatalf("family did not complete: %+v", stats)
+	}
+	if stats.StepsProcessed < 2 {
+		t.Fatalf("steps processed = %d, want keyword and the suggested tabular", stats.StepsProcessed)
+	}
+	if stats.BytesStaged == 0 {
+		t.Fatal("nothing staged")
+	}
+	if _, err := h.sites["river"].Stat("/xtract-stage/d/table.txt"); err == nil {
+		t.Fatal("staged copy still present after the family finished")
+	}
+}
+
 func TestEndToEndDynamicPlanExpansion(t *testing.T) {
 	// A .txt file containing a table triggers keyword → tabular expansion.
 	h := newHarness(t, []siteSpec{{name: "midway", workers: 2}}, scheduler.LocalPolicy{})

@@ -8,7 +8,6 @@ import (
 	"xtract/internal/faas"
 	"xtract/internal/fastjson"
 	"xtract/internal/obs"
-	"xtract/internal/scheduler"
 )
 
 // This file is the dispatch half of the event-driven pipeline: one
@@ -19,12 +18,6 @@ import (
 // collect concurrently, so multi-site jobs overlap their control-plane
 // round trips instead of serializing them through one loop.
 
-// reconcileEvery is how often a shard cross-checks its outstanding tasks
-// against PollBatch. Completion notifications are the primary signal;
-// this is only the safety net for a notification lost to fabric-internal
-// races, so it can be slow without hurting latency.
-const reconcileEvery = 500 * time.Millisecond
-
 // feedDepth bounds the pump→shard step channel. The pump blocks (with
 // job-context cancellation) when a shard falls this far behind, which
 // back-pressures intake instead of growing memory without bound.
@@ -32,11 +25,13 @@ const feedDepth = 1024
 
 // dispatchItem is one dispatch-ready step routed from the pump to a site
 // shard, stamped with the time it became ready so the shard can observe
-// ready→submitted dispatch latency.
+// ready→submitted dispatch latency. files and fetchFrom complete the
+// step's payload (stepPayload) at the execution site.
 type dispatchItem struct {
-	extractor string
+	ref       stepRef
 	readyAt   time.Time
-	sp        stepPayload
+	files     map[string]string
+	fetchFrom string
 	// hedge marks a speculative duplicate of a step already running
 	// elsewhere. Hedge steps never batch with originals (separate bucket
 	// key) so a straggler's duplicate is not delayed behind fresh work.
@@ -48,13 +43,6 @@ type dispatchItem struct {
 type bucketKey struct {
 	extractor string
 	hedge     bool
-}
-
-// outTask is one task outstanding on the fabric: the step refs it
-// carries and whether it is a hedge duplicate.
-type outTask struct {
-	refs  []stepRef
-	hedge bool
 }
 
 // shardEvent is one notification from a dispatcher shard back to the
@@ -73,12 +61,11 @@ type shardEvent struct {
 	detail string
 
 	// submitted marks a task-accepted notification (hedging only): the
-	// pump arms the task's hedge deadline and records which task IDs
-	// carry which steps, for loser cancellation.
+	// pump records the task, arms its hedge deadline, and notes which
+	// task IDs carry which steps, for loser cancellation. hedge marks
+	// the submitted task as a speculative duplicate.
 	submitted bool
-	// hedge marks the task as a speculative duplicate, on both submitted
-	// and terminal events.
-	hedge bool
+	hedge     bool
 }
 
 // shardEventSink fans events from every shard into the pump. The buffer
@@ -144,7 +131,9 @@ type dispatcher struct {
 	bufs    []*[]byte
 	readyAt []time.Time // earliest readyAt per pending request
 	hedges  []bool      // hedge flag per pending request
-	out     map[string]outTask
+	// out maps each task outstanding on the fabric to the steps it
+	// carries.
+	out map[string][]stepRef
 }
 
 func newDispatcher(s *Service, jobID, tenant string, site *Site, sink *shardEventSink) *dispatcher {
@@ -157,19 +146,17 @@ func newDispatcher(s *Service, jobID, tenant string, site *Site, sink *shardEven
 		sink:    sink,
 		comp:    faas.NewCompletionSink(),
 		buckets: make(map[bucketKey][]dispatchItem),
-		out:     make(map[string]outTask),
+		out:     make(map[string][]stepRef),
 	}
 }
 
 // run is the shard loop: drain whatever the pump has fed, flush it to
 // the fabric, and forward completion notifications, blocking between
-// bursts. The reconcile timer is armed only while tasks are outstanding.
+// bursts. The completion sink is the only terminal signal: Notify
+// subscribes under the task lock that every terminal transition holds
+// (faas task.finish), so each submitted task is delivered exactly once.
 func (d *dispatcher) run(ctx context.Context) {
-	var reconcileCh <-chan time.Time
 	for {
-		if reconcileCh == nil && len(d.out) > 0 {
-			reconcileCh = d.s.clk.After(reconcileEvery)
-		}
 		select {
 		case <-ctx.Done():
 			d.releaseAbandoned()
@@ -192,9 +179,6 @@ func (d *dispatcher) run(ctx context.Context) {
 			for _, info := range d.comp.Drain() {
 				d.terminal(info.ID, info)
 			}
-		case <-reconcileCh:
-			reconcileCh = nil
-			d.reconcile()
 		}
 	}
 }
@@ -203,7 +187,7 @@ func (d *dispatcher) run(ctx context.Context) {
 // and full funcX batches submit immediately, exactly as the paper's
 // batching layers prescribe.
 func (d *dispatcher) intake(it dispatchItem) {
-	k := bucketKey{extractor: it.extractor, hedge: it.hedge}
+	k := bucketKey{extractor: it.ref.step.Extractor, hedge: it.hedge}
 	d.buckets[k] = append(d.buckets[k], it)
 	if len(d.buckets[k]) >= d.s.cfg.XtractBatchSize {
 		d.makeTask(k)
@@ -254,11 +238,11 @@ func (d *dispatcher) makeTask(k bucketKey) {
 	refs := make([]stepRef, 0, len(batch))
 	earliest := batch[0].readyAt
 	for _, it := range batch {
-		steps = append(steps, it.sp)
-		refs = append(refs, stepRef{
-			famID: it.sp.FamilyID,
-			step:  scheduler.Step{GroupID: it.sp.GroupID, Extractor: extractor},
+		steps = append(steps, stepPayload{
+			FamilyID: it.ref.famID, GroupID: it.ref.step.GroupID,
+			Files: it.files, FetchFrom: it.fetchFrom,
 		})
+		refs = append(refs, it.ref)
 		if it.readyAt.Before(earliest) {
 			earliest = it.readyAt
 		}
@@ -315,7 +299,7 @@ func (d *dispatcher) submit() {
 	}
 	now := d.s.clk.Now()
 	for i, id := range ids {
-		d.out[id] = outTask{refs: refs[i], hedge: hedges[i]}
+		d.out[id] = refs[i]
 		d.s.obsDispatchLatency.ObserveDuration(now.Sub(readyAt[i]))
 		d.s.obs.Emitf(d.jobID, obs.EvBatchDispatched, "task=%s steps=%d endpoint=%s",
 			id, len(refs[i]), reqs[i].EndpointID)
@@ -352,19 +336,17 @@ func (d *dispatcher) recycle(reqs []faas.TaskRequest, refs [][]stepRef, bufs []*
 	d.hedges = hedges[:0]
 }
 
-// terminal forwards one finished/lost task to the pump. The out-map
-// check makes notification and reconciliation idempotent: whichever path
-// sees the task first claims it.
+// terminal forwards one finished/lost task to the pump.
 func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
-	ot, ok := d.out[id]
+	refs, ok := d.out[id]
 	if !ok {
 		return
 	}
 	delete(d.out, id)
 	d.s.obsPipelineDepth.Dec()
-	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(ot.refs))
+	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(refs))
 	d.s.recordSiteOutcome(d.site.Name, info)
-	d.sink.push(shardEvent{taskID: id, info: info, refs: ot.refs, hedge: ot.hedge})
+	d.sink.push(shardEvent{taskID: id, info: info, refs: refs})
 }
 
 // releaseAbandoned returns every fair-share task slot this shard still
@@ -380,8 +362,8 @@ func (d *dispatcher) releaseAbandoned() {
 	for _, r := range d.refs {
 		n += len(r)
 	}
-	for _, ot := range d.out {
-		n += len(ot.refs)
+	for _, refs := range d.out {
+		n += len(refs)
 	}
 	for {
 		select {
@@ -393,23 +375,4 @@ func (d *dispatcher) releaseAbandoned() {
 		break
 	}
 	d.s.cfg.Tenants.ReleaseTasks(d.tenant, n)
-}
-
-// reconcile is the PollBatch safety net behind the notification path:
-// it sweeps outstanding tasks so a completion whose notification was
-// lost still terminates the job, just late.
-func (d *dispatcher) reconcile() {
-	if len(d.out) == 0 {
-		return
-	}
-	ids := make([]string, 0, len(d.out))
-	for id := range d.out {
-		ids = append(ids, id)
-	}
-	for _, info := range d.s.cfg.FaaS.PollBatch(ids) {
-		if info.ID == "" || !info.Status.Terminal() {
-			continue
-		}
-		d.terminal(info.ID, info)
-	}
 }

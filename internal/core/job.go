@@ -114,10 +114,41 @@ type JobOptions struct {
 	OnID func(jobID string)
 }
 
-// stepRef ties a dispatched step back to its family.
+// stepRef names one step of one family together with the step's record
+// in the family's plan. Dispatcher shards carry refs through batching
+// and back without touching the record; only the pump reads or writes
+// it, and a ref keeps the record reachable for a task still in flight
+// after its family finished (the exactly-once fence reads it there).
 type stepRef struct {
 	famID string
 	step  scheduler.Step
+	rec   *scheduler.StepRecord
+}
+
+// attemptDone retires one in-flight execution of the step.
+func (r stepRef) attemptDone() {
+	if r.rec.Live > 0 {
+		r.rec.Live--
+	}
+}
+
+// moot reports whether a failed attempt for the step can be swallowed:
+// the step already completed via another attempt (a hedge winner — its
+// cancelled or failed loser is noise), or another attempt is still in
+// flight and will drive the step to its own outcome.
+func (r stepRef) moot() bool {
+	return r.rec.Status == scheduler.StepDone || r.rec.Live > 0
+}
+
+// taskRec is the pump's record of one task in flight on the fabric,
+// kept from the shard's submitted event to the task's terminal event.
+// Shards report submissions only under an enabled hedge policy, the
+// one consumer of these records: the hedge deadline, loser
+// cancellation, and the end-to-end latency fed to the estimator.
+type taskRec struct {
+	refs      []stepRef
+	submitted time.Time
+	hedge     bool
 }
 
 // famState is the service-side record of one in-flight family.
@@ -140,34 +171,10 @@ type famState struct {
 	deadLettered int
 }
 
-// stepKey identifies one (family, group, extractor) step for retry
-// accounting.
-type stepKey struct {
-	famID string
-	step  scheduler.Step
-}
-
-// retryItem is one backlog entry: a step (or staging task) waiting out
-// its backoff before re-dispatch.
-type retryItem struct {
-	at      time.Time
-	famID   string
-	step    scheduler.Step
-	staging bool
-}
-
-// hedgeItem arms one submitted task's hedge deadline: when the task is
-// still running at `at`, each of its unfinished steps gets a
-// speculative duplicate.
-type hedgeItem struct {
-	at     time.Time
-	taskID string
-}
-
 // pump is the orchestration state for one job. Family state stays
 // single-threaded — only the pump goroutine touches states, staging,
-// attempts, backlog, and budget, which is what keeps the PR2 retry/
-// dead-letter and PR3 cache semantics intact — while batching,
+// step records, tasks, due, and budget, which is what keeps the retry/
+// dead-letter and cache semantics intact — while batching,
 // submission, and completion collection live in per-site dispatcher
 // shards (dispatch.go) that the pump talks to over channels.
 type pump struct {
@@ -198,10 +205,9 @@ type pump struct {
 	// ping-pong that two staging jobs could otherwise spin on.
 	prefetchGate <-chan time.Time
 
-	// Job-scoped progress counters. The Service keeps matching counters,
-	// but those aggregate across every job the service has ever run;
-	// JobStats must be built from these so concurrent jobs never report
-	// each other's work.
+	// Job-scoped progress counters: JobStats is built from these, so
+	// concurrent jobs never report each other's work (the service-wide
+	// aggregates are the xtract_* metrics).
 	familiesDone     int64
 	stepsProcessed   int64
 	stepsFailed      int64
@@ -210,10 +216,10 @@ type pump struct {
 	cacheHits        int64
 	cacheMisses      int64
 
-	// attempts counts executions per step; backlog holds steps waiting
-	// out a retry backoff; budget is the job's remaining retry budget.
-	attempts     map[stepKey]int
-	backlog      []retryItem
+	// due holds every timed transition — step and staging retries
+	// waiting out their backoff, hedge deadlines; budget is the job's
+	// remaining retry budget.
+	due          deadlines
 	budget       int
 	retried      int64
 	deadLettered int64
@@ -226,34 +232,8 @@ type pump struct {
 	// billing and journal record.
 	seenFams map[string]bool
 
-	// Hedging state, allocated only when the hedge policy is enabled (a
-	// nil doneSteps map means every hedge path below is skipped and the
-	// pipeline behaves exactly as before).
-	//
-	// doneSteps is the exactly-once fence: the first completion of a
-	// step claims it here, and every later (duplicate) completion is
-	// discarded before any side effect — plan advancement, cache
-	// write-back, journal record, billing, stats — can repeat.
-	doneSteps map[stepKey]bool
-	// liveAttempts counts in-flight executions per step (1 normally, 2
-	// while hedged); a failure is swallowed while other attempts are
-	// live, so only the last attempt's failure reaches retry/dead-letter.
-	liveAttempts map[stepKey]int
-	// stepTasks maps a step to the task IDs carrying it, for loser
-	// cancellation; taskRefs is the reverse (task → steps), from
-	// submitted events; hedgeTasks holds first-attempt tasks whose
-	// deadline is armed in hedgeQ; hedgedSteps marks steps already
-	// hedged once (a step is never hedged twice).
-	stepTasks   map[stepKey][]string
-	taskRefs    map[string][]stepRef
-	hedgeTasks  map[string][]stepRef
-	hedgeQ      []hedgeItem
-	hedgedSteps map[stepKey]bool
-	// taskSubmitted records when each task was accepted by the fabric:
-	// the estimator is fed end-to-end latency (submit → terminal, the
-	// same span the hedge deadline is armed over), so endpoint queueing
-	// is priced into the deadline instead of counting against it.
-	taskSubmitted map[string]time.Time
+	// tasks holds the record of every task in flight (see taskRec).
+	tasks map[string]taskRec
 
 	stepsHedged    int64
 	hedgeWins      int64
@@ -415,18 +395,9 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 		jobCtx:   jobCtx,
 		events:   newShardEventSink(),
 		shards:   make(map[string]*dispatcher),
-		attempts: make(map[stepKey]int),
 		budget:   s.retry.JobBudget,
 		seenFams: make(map[string]bool),
-	}
-	if s.hedge.Enabled {
-		p.doneSteps = make(map[stepKey]bool)
-		p.liveAttempts = make(map[stepKey]int)
-		p.stepTasks = make(map[stepKey][]string)
-		p.taskRefs = make(map[string][]stepRef)
-		p.hedgeTasks = make(map[string][]stepRef)
-		p.hedgedSteps = make(map[stepKey]bool)
-		p.taskSubmitted = make(map[string]time.Time)
+		tasks:    make(map[string]taskRec),
 	}
 	defer func() {
 		p.flushResults() // error paths must not strand buffered records
@@ -484,12 +455,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			for crawlsPending > 0 {
 				select {
 				case stats := <-crawlDone:
-					crawlStats.DirsListed += stats.DirsListed
-					crawlStats.FilesSeen += stats.FilesSeen
-					crawlStats.GroupsFormed += stats.GroupsFormed
-					crawlStats.FamiliesEmitted += stats.FamiliesEmitted
-					crawlStats.BytesSeen += stats.BytesSeen
-					crawlStats.ListErrors += stats.ListErrors
+					crawlStats.Add(stats)
 					crawlsPending--
 					pass = true
 					continue
@@ -506,10 +472,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			if p.intakeStaged() {
 				pass = true
 			}
-			if p.intakeRetries() {
-				pass = true
-			}
-			if p.intakeHedges() {
+			if p.intakeDue() {
 				pass = true
 			}
 			if p.handleEvents() {
@@ -530,11 +493,14 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			s.wakeupCounter("idle").Inc()
 		}
 		// Termination: nothing crawling, no live or staging families, no
-		// retries pending, no shard events in flight, and the family queue
-		// drained. Families stay in p.states until their plan resolves, so
-		// an empty state map also means no outstanding shard work.
+		// shard events in flight, and the family queue drained. Families
+		// stay in p.states until their plan resolves, and in p.staging
+		// until staged, so empty maps also mean no outstanding shard work
+		// and no retry waiting out its backoff (a step waiting one stays
+		// issued; a family waiting one stays staging). Pending hedge
+		// deadlines do not hold the job open.
 		if crawlsPending == 0 && len(p.states) == 0 && len(p.staging) == 0 &&
-			len(p.backlog) == 0 && p.events.pending() == 0 && famQ.Len() == 0 {
+			p.events.pending() == 0 && famQ.Len() == 0 {
 			break
 		}
 		var err error
@@ -860,48 +826,61 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 }
 
 // retryOrDeadLetter routes one failed or lost step: if the step still
-// has attempts left and the job still has retry budget, it is scheduled
-// onto the backoff backlog and true is returned; otherwise the step is
-// quarantined as a dead letter and false is returned. The step must be
-// in the plan's issued set either way (it stays issued while waiting out
-// the backoff, so the plan does not report Done prematurely). cause is a
-// low-cardinality label ("lost", "failed", ...); detail may carry the
-// underlying error text for the trace and dead-letter record.
-func (p *pump) retryOrDeadLetter(st *famState, step scheduler.Step, cause, detail string) bool {
+// has attempts left and the job still has retry budget, its retry is
+// scheduled on the deadline heap and true is returned; otherwise the step
+// is quarantined as a dead letter and false is returned. The step must be
+// issued either way (it stays issued while waiting out the backoff, so
+// the plan does not report Done prematurely). cause is a low-cardinality
+// label ("lost", "failed", ...); detail may carry the underlying error
+// text for the trace and dead-letter record.
+func (p *pump) retryOrDeadLetter(st *famState, r stepRef, cause, detail string) bool {
 	reason := cause
 	if detail != "" {
 		reason = cause + ": " + detail
 	}
-	key := stepKey{st.fam.ID, step}
-	p.attempts[key]++
-	n := p.attempts[key]
-	if n < p.s.retry.MaxAttempts && p.budget > 0 {
-		p.budget--
-		p.retried++
-		d := p.s.retry.backoff(st.fam.ID+"/"+step.GroupID+"/"+step.Extractor, n)
-		p.backlog = append(p.backlog, retryItem{
-			at:    p.s.clk.Now().Add(d),
-			famID: st.fam.ID,
-			step:  step,
-		})
-		p.s.retryCounter(cause).Inc()
-		p.s.obsRetryBackoff.ObserveDuration(d)
-		p.s.obs.Emitf(p.jobID, obs.EvTaskRetried,
-			"family=%s group=%s extractor=%s attempt=%d backoff=%s cause=%s",
-			st.fam.ID, step.GroupID, step.Extractor, n, d, reason)
-		p.journal(journal.Record{
-			Type: journal.RecStepRetried, FamilyID: st.fam.ID,
-			GroupID: step.GroupID, Extractor: step.Extractor,
-			Attempt: n, Reason: reason,
-		})
-		return true
+	r.rec.Attempts++
+	n := r.rec.Attempts
+	step := r.step
+	d, reason, ok := p.spendRetry(dueEntry{kind: dueStepRetry, ref: r},
+		st.fam.ID+"/"+step.GroupID+"/"+step.Extractor, n, cause, reason)
+	if !ok {
+		p.deadLetterStep(st, step, n, reason)
+		return false
 	}
-	if n < p.s.retry.MaxAttempts {
+	p.s.obs.Emitf(p.jobID, obs.EvTaskRetried,
+		"family=%s group=%s extractor=%s attempt=%d backoff=%s cause=%s",
+		st.fam.ID, step.GroupID, step.Extractor, n, d, reason)
+	p.journal(journal.Record{
+		Type: journal.RecStepRetried, FamilyID: st.fam.ID,
+		GroupID: step.GroupID, Extractor: step.Extractor,
+		Attempt: n, Reason: reason,
+	})
+	return true
+}
+
+// spendRetry is the one retry decision for steps and staging alike: when
+// attempt n is below the policy's MaxAttempts and the job has budget
+// left, it spends one retry, pushes e onto the deadline heap after the
+// backoff drawn for (key, n), counts the retry under label, and returns
+// the backoff. Otherwise it schedules nothing and returns ok=false with
+// the reason to give up under — prefixed when only the job budget
+// refused.
+func (p *pump) spendRetry(e dueEntry, key string, n int, label, reason string) (time.Duration, string, bool) {
+	if n >= p.s.retry.MaxAttempts {
+		return 0, reason, false
+	}
+	if p.budget <= 0 {
 		p.s.obsBudgetExhausted.Inc()
-		reason = "retry budget exhausted: " + reason
+		return 0, "retry budget exhausted: " + reason, false
 	}
-	p.deadLetterStep(st, step, n, reason)
-	return false
+	p.budget--
+	p.retried++
+	d := p.s.retry.backoff(key, n)
+	e.at = p.s.clk.Now().Add(d)
+	p.due.push(e)
+	p.s.retryCounter(label).Inc()
+	p.s.obsRetryBackoff.ObserveDuration(d)
+	return d, reason, true
 }
 
 // deadLetterStep quarantines a poison step: its plan entry is marked
@@ -944,85 +923,87 @@ func (p *pump) deadLetterStep(st *famState, step scheduler.Step, attempts int, c
 // failure, or abandons the family once attempts (or budget) run out. The
 // family stays in p.staging while waiting out the backoff.
 func (p *pump) retryStagingOrFail(st *famState, cause string) {
-	if st.stageAttempts < p.s.retry.MaxAttempts && p.budget > 0 {
-		p.budget--
-		p.retried++
-		d := p.s.retry.backoff(st.fam.ID+"/stage", st.stageAttempts)
-		p.backlog = append(p.backlog, retryItem{
-			at:      p.s.clk.Now().Add(d),
-			famID:   st.fam.ID,
-			staging: true,
-		})
-		p.s.retryCounter("staging").Inc()
-		p.s.obsRetryBackoff.ObserveDuration(d)
+	d, cause, ok := p.spendRetry(dueEntry{kind: dueStageRetry, ref: stepRef{famID: st.fam.ID}},
+		st.fam.ID+"/stage", st.stageAttempts, "staging", cause)
+	if ok {
 		p.s.obs.Emitf(p.jobID, obs.EvTaskRetried,
 			"family=%s staging attempt=%d backoff=%s cause=%s",
 			st.fam.ID, st.stageAttempts, d, cause)
 		return
 	}
-	if st.stageAttempts < p.s.retry.MaxAttempts {
-		p.s.obsBudgetExhausted.Inc()
-		cause = "retry budget exhausted: " + cause
-	}
 	delete(p.staging, st.fam.ID)
 	p.failFamily(st.fam.ID, cause, st.stageAttempts)
 }
 
-// intakeRetries re-dispatches backlog entries whose backoff has elapsed:
-// steps go back to pending and re-bucket; staging entries re-send their
-// prefetch task.
-func (p *pump) intakeRetries() bool {
-	if len(p.backlog) == 0 {
-		return false
-	}
+// intakeDue fires every deadline-heap entry that is due, earliest first:
+// retried steps go back to pending and re-bucket, retried staging
+// re-sends its prefetch task, and an expired hedge deadline duplicates
+// its task's unfinished steps. Entries whose family or task is gone are
+// dropped.
+func (p *pump) intakeDue() bool {
 	now := p.s.clk.Now()
-	rest := p.backlog[:0]
 	progress := false
-	for _, it := range p.backlog {
-		if it.at.After(now) {
-			rest = append(rest, it)
-			continue
+	for {
+		e, ok := p.due.peek()
+		if !ok || e.at.After(now) {
+			return progress
 		}
-		progress = true
-		if it.staging {
-			if st, ok := p.staging[it.famID]; ok {
+		p.due.pop()
+		switch e.kind {
+		case dueStepRetry:
+			progress = true
+			if st, ok := p.states[e.ref.famID]; ok {
+				st.plan.Reset(e.ref.step)
+				p.bucketReadySteps(st)
+			}
+		case dueStageRetry:
+			progress = true
+			if st, ok := p.staging[e.ref.famID]; ok {
 				st.stageAttempts++
 				p.s.cfg.PrefetchQueue.Send(st.prefetchBody)
 				p.s.obs.Emitf(p.jobID, obs.EvFamilyStaging, "family=%s re-staged attempt=%d",
 					st.fam.ID, st.stageAttempts)
 			}
-			continue
-		}
-		if st, ok := p.states[it.famID]; ok {
-			st.plan.Reset(it.step)
-			p.bucketReadySteps(st)
+		case dueHedge:
+			if p.fireHedge(e.taskID) {
+				progress = true
+			}
 		}
 	}
-	p.backlog = rest
-	return progress
+}
+
+// armDue arms one timer, for the earliest live deadline-heap entry, and
+// returns it with the wakeup reason of that entry's kind. Hedge entries
+// whose task already finished are popped off the top first, so the
+// timer never fires for nothing; with no entry left, nothing is armed.
+func (p *pump) armDue() (<-chan time.Time, string) {
+	for {
+		e, ok := p.due.peek()
+		if !ok {
+			return nil, ""
+		}
+		if e.kind == dueHedge {
+			if _, live := p.tasks[e.taskID]; !live {
+				p.due.pop()
+				continue
+			}
+		}
+		d := e.at.Sub(p.s.clk.Now())
+		if d < 0 {
+			d = 0
+		}
+		return p.s.clk.After(d), e.kind.reason()
+	}
 }
 
 // await blocks until some event source signals work for this job: a
 // crawl finishing, the family queue, the shared prefetch-done queue
-// (only while this job is staging), a shard event, the earliest retry
-// backoff elapsing, or the foreign-result gate reopening. It returns a
-// low-cardinality reason label for the wakeup counter.
+// (only while this job is staging), a shard event, the earliest
+// deadline-heap entry coming due, or the foreign-result gate reopening.
+// It returns a low-cardinality reason label for the wakeup counter.
 func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlErr <-chan error,
 	crawlStats *crawler.Stats, crawlsPending *int) (string, error) {
-	var retryCh <-chan time.Time
-	if len(p.backlog) > 0 {
-		next := p.backlog[0].at
-		for _, it := range p.backlog[1:] {
-			if it.at.Before(next) {
-				next = it.at
-			}
-		}
-		d := next.Sub(p.s.clk.Now())
-		if d < 0 {
-			d = 0
-		}
-		retryCh = p.s.clk.After(d)
-	}
+	dueCh, dueReason := p.armDue()
 	cd, ce := crawlDone, crawlErr
 	if *crawlsPending == 0 {
 		cd, ce = nil, nil
@@ -1034,40 +1015,11 @@ func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlE
 	if p.prefetchGate == nil && len(p.staging) > 0 {
 		prefetchReady = p.s.cfg.PrefetchDone.Ready()
 	}
-	// Hedge deadlines: prune entries whose task already finished, then
-	// arm a timer for the earliest surviving deadline.
-	var hedgeCh <-chan time.Time
-	if p.hedging() && len(p.hedgeQ) > 0 {
-		rest := p.hedgeQ[:0]
-		var next time.Time
-		for _, h := range p.hedgeQ {
-			if _, live := p.hedgeTasks[h.taskID]; !live {
-				continue
-			}
-			rest = append(rest, h)
-			if next.IsZero() || h.at.Before(next) {
-				next = h.at
-			}
-		}
-		p.hedgeQ = rest
-		if len(rest) > 0 {
-			d := next.Sub(p.s.clk.Now())
-			if d < 0 {
-				d = 0
-			}
-			hedgeCh = p.s.clk.After(d)
-		}
-	}
 	select {
 	case <-ctx.Done():
 		return "", ctx.Err()
 	case stats := <-cd:
-		crawlStats.DirsListed += stats.DirsListed
-		crawlStats.FilesSeen += stats.FilesSeen
-		crawlStats.GroupsFormed += stats.GroupsFormed
-		crawlStats.FamiliesEmitted += stats.FamiliesEmitted
-		crawlStats.BytesSeen += stats.BytesSeen
-		crawlStats.ListErrors += stats.ListErrors
+		crawlStats.Add(stats)
 		*crawlsPending--
 		return "crawl", nil
 	case err := <-ce:
@@ -1078,10 +1030,8 @@ func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlE
 		return "staged", nil
 	case <-p.events.Ready():
 		return "events", nil
-	case <-retryCh:
-		return "retry", nil
-	case <-hedgeCh:
-		return "hedge", nil
+	case <-dueCh:
+		return dueReason, nil
 	case <-p.prefetchGate:
 		p.prefetchGate = nil
 		return "staged", nil
@@ -1111,62 +1061,34 @@ func (p *pump) handleEvents() bool {
 		}
 		if ev.failed {
 			for _, r := range ev.refs {
-				key := stepKey{r.famID, r.step}
-				p.attemptDone(key)
-				if p.stepMoot(key) {
+				r.attemptDone()
+				if r.moot() {
 					continue // another attempt owns this step's fate
 				}
 				if st, ok := p.states[r.famID]; ok {
-					p.retryOrDeadLetter(st, r.step, ev.cause, ev.detail)
+					p.retryOrDeadLetter(st, r, ev.cause, ev.detail)
 					p.finishIfDone(st)
 				}
 			}
 			continue
 		}
-		p.handleTerminal(ev.taskID, ev.info, ev.refs, ev.hedge)
+		p.handleTerminal(ev.taskID, ev.info, ev.refs)
 	}
 	return true
 }
 
-// hedging reports whether this pump runs the hedged-execution paths.
-func (p *pump) hedging() bool { return p.doneSteps != nil }
-
-// attemptDone retires one in-flight execution of a step.
-func (p *pump) attemptDone(key stepKey) {
-	if !p.hedging() {
-		return
-	}
-	if n := p.liveAttempts[key]; n > 1 {
-		p.liveAttempts[key] = n - 1
-	} else if n == 1 {
-		delete(p.liveAttempts, key)
-	}
-}
-
-// stepMoot reports whether a failed attempt for the step can be
-// swallowed: the step already completed via another attempt (a hedge
-// winner — its cancelled or failed loser is noise), or another attempt
-// is still in flight and will drive the step to its own outcome.
-func (p *pump) stepMoot(key stepKey) bool {
-	if !p.hedging() {
-		return false
-	}
-	return p.doneSteps[key] || p.liveAttempts[key] > 0
-}
-
-// noteSubmitted records a task accepted by the fabric: task→step maps
-// for loser cancellation, and — for first-attempt tasks — the adaptive
-// hedge deadline, scaled by the number of steps the task carries.
+// noteSubmitted records a task accepted by the fabric — its task record,
+// and its ID on each step it carries for loser cancellation — and, for a
+// first-attempt task, arms the adaptive hedge deadline, scaled by the
+// number of steps the task carries.
 func (p *pump) noteSubmitted(ev shardEvent) {
-	if !p.hedging() || len(ev.refs) == 0 {
+	if len(ev.refs) == 0 {
 		return
 	}
 	now := p.s.clk.Now()
-	p.taskRefs[ev.taskID] = ev.refs
-	p.taskSubmitted[ev.taskID] = now
+	p.tasks[ev.taskID] = taskRec{refs: ev.refs, submitted: now, hedge: ev.hedge}
 	for _, r := range ev.refs {
-		key := stepKey{r.famID, r.step}
-		p.stepTasks[key] = append(p.stepTasks[key], ev.taskID)
+		r.rec.Tasks = append(r.rec.Tasks, ev.taskID)
 	}
 	if ev.hedge {
 		return // hedges are never themselves hedged
@@ -1176,46 +1098,29 @@ func (p *pump) noteSubmitted(ev shardEvent) {
 		return
 	}
 	d *= time.Duration(len(ev.refs))
-	p.hedgeTasks[ev.taskID] = ev.refs
-	p.hedgeQ = append(p.hedgeQ, hedgeItem{at: now.Add(d), taskID: ev.taskID})
+	p.due.push(dueEntry{at: now.Add(d), kind: dueHedge, taskID: ev.taskID})
 }
 
-// intakeHedges fires expired hedge deadlines: every unfinished,
-// not-yet-hedged step of a task still running past its deadline gets a
-// speculative duplicate on another site.
-func (p *pump) intakeHedges() bool {
-	if !p.hedging() || len(p.hedgeQ) == 0 {
+// fireHedge handles an expired hedge deadline: every unfinished,
+// not-yet-hedged step of the task gets a speculative duplicate on
+// another site. It reports false when the task finished first.
+func (p *pump) fireHedge(taskID string) bool {
+	t, live := p.tasks[taskID]
+	if !live {
 		return false
 	}
-	now := p.s.clk.Now()
-	rest := p.hedgeQ[:0]
-	progress := false
-	for _, h := range p.hedgeQ {
-		if h.at.After(now) {
-			rest = append(rest, h)
+	for _, r := range t.refs {
+		if r.rec.Status == scheduler.StepDone || r.rec.Hedged {
 			continue
 		}
-		refs, live := p.hedgeTasks[h.taskID]
-		delete(p.hedgeTasks, h.taskID)
-		if !live {
-			continue // the task finished before its deadline
+		st, ok := p.states[r.famID]
+		if !ok {
+			continue
 		}
-		progress = true
-		for _, r := range refs {
-			key := stepKey{r.famID, r.step}
-			if p.doneSteps[key] || p.hedgedSteps[key] {
-				continue
-			}
-			st, ok := p.states[r.famID]
-			if !ok {
-				continue
-			}
-			p.hedgedSteps[key] = true
-			p.dispatchHedge(st, r.step)
-		}
+		r.rec.Hedged = true
+		p.dispatchHedge(st, r)
 	}
-	p.hedgeQ = rest
-	return progress
+	return true
 }
 
 // hedgeTarget picks the site for a speculative duplicate: a different
@@ -1251,43 +1156,42 @@ func (p *pump) hedgeTarget(st *famState, extractor string) *Site {
 // reuses the family's effective paths; on an alternate site the worker
 // fetches the original files from the family's home data layer over the
 // transfer fabric (the same mechanism as direct-fetch placement), so a
-// hedge needs no staging. Hedges never delete staged files — the
-// original attempt may still be reading them.
-func (p *pump) dispatchHedge(st *famState, step scheduler.Step) {
+// hedge needs no staging.
+func (p *pump) dispatchHedge(st *famState, r stepRef) {
+	step := r.step
 	target := p.hedgeTarget(st, step.Extractor)
 	if target == nil {
 		return
 	}
-	sp := stepPayload{FamilyID: st.fam.ID, GroupID: step.GroupID}
+	it := dispatchItem{ref: r, hedge: true}
 	if target.Name == st.site.Name {
-		sp.Files = p.groupFiles(st, step.GroupID)
-		sp.FetchFrom = st.fetchFrom
+		it.files = p.groupFiles(st, step.GroupID)
+		it.fetchFrom = st.fetchFrom
 	} else {
-		files := make(map[string]string)
+		it.files = make(map[string]string)
 		for _, g := range st.fam.Groups {
 			if g.ID != step.GroupID {
 				continue
 			}
 			for _, f := range g.Files {
-				files[f] = f
+				it.files[f] = f
 			}
 		}
-		sp.Files = files
 		if target.Name != st.fam.Store {
 			home, ok := p.s.Site(st.fam.Store)
 			if !ok {
 				return
 			}
-			sp.FetchFrom = home.TransferID
+			it.fetchFrom = home.TransferID
 		}
 	}
 	if _, err := p.s.cfg.Tenants.AcquireTask(p.jobCtx, p.tenant); err != nil {
 		return // job over; the controller reclaimed the slot internally
 	}
-	it := dispatchItem{extractor: step.Extractor, readyAt: p.s.clk.Now(), hedge: true, sp: sp}
+	it.readyAt = p.s.clk.Now()
 	select {
 	case p.shardFor(target).feed <- it:
-		p.liveAttempts[stepKey{st.fam.ID, step}]++
+		r.rec.Live++
 		p.stepsHedged++
 		p.s.obsHedges.Inc()
 		p.s.obs.Emitf(p.jobID, obs.EvTaskHedged,
@@ -1302,22 +1206,18 @@ func (p *pump) dispatchHedge(st *famState, step scheduler.Step) {
 // just completed, freeing their workers early. A task is cancelled only
 // when every step it carries is already done — cancelling a multi-step
 // batch over one duplicate would kill innocent sibling steps.
-func (p *pump) cancelLosers(key stepKey, winner string) {
-	tids := p.stepTasks[key]
-	if len(tids) == 0 {
-		return
-	}
-	for _, tid := range tids {
+func (p *pump) cancelLosers(r stepRef, winner string) {
+	for _, tid := range r.rec.Tasks {
 		if tid == winner {
 			continue
 		}
-		refs, live := p.taskRefs[tid]
+		t, live := p.tasks[tid]
 		if !live {
 			continue
 		}
 		all := true
-		for _, r := range refs {
-			if !p.doneSteps[stepKey{r.famID, r.step}] {
+		for _, lr := range t.refs {
+			if lr.rec.Status != scheduler.StepDone {
 				all = false
 				break
 			}
@@ -1326,7 +1226,7 @@ func (p *pump) cancelLosers(key stepKey, winner string) {
 			p.s.obsHedgeCancelled.Inc()
 		}
 	}
-	delete(p.stepTasks, key)
+	r.rec.Tasks = nil
 }
 
 // shardFor returns (creating on first use) the dispatcher shard that
@@ -1353,7 +1253,7 @@ func (p *pump) shardFor(site *Site) *dispatcher {
 // shard's own drain rate — and aborts if the job ends first. Every slot
 // acquired here is released by the step's shard when its task reaches a
 // terminal event (or by the shard's shutdown sweep).
-func (p *pump) dispatch(st *famState, step scheduler.Step, files map[string]string) {
+func (p *pump) dispatch(st *famState, r stepRef, files map[string]string) {
 	waited, err := p.s.cfg.Tenants.AcquireTask(p.jobCtx, p.tenant)
 	if err != nil {
 		return // job over; the controller reclaimed the slot internally
@@ -1361,24 +1261,12 @@ func (p *pump) dispatch(st *famState, step scheduler.Step, files map[string]stri
 	if waited {
 		p.s.obs.Emitf(p.jobID, obs.EvTenantThrottled,
 			"tenant=%s family=%s group=%s extractor=%s waited for task slot",
-			p.tenant, st.fam.ID, step.GroupID, step.Extractor)
+			p.tenant, st.fam.ID, r.step.GroupID, r.step.Extractor)
 	}
-	it := dispatchItem{
-		extractor: step.Extractor,
-		readyAt:   p.s.clk.Now(),
-		sp: stepPayload{
-			FamilyID:    st.fam.ID,
-			GroupID:     step.GroupID,
-			Files:       files,
-			DeleteAfter: st.staged && st.site.DeleteStaged,
-			FetchFrom:   st.fetchFrom,
-		},
-	}
+	it := dispatchItem{ref: r, readyAt: p.s.clk.Now(), files: files, fetchFrom: st.fetchFrom}
 	select {
 	case p.shardFor(st.site).feed <- it:
-		if p.hedging() {
-			p.liveAttempts[stepKey{st.fam.ID, step}]++
-		}
+		r.rec.Live++
 	case <-p.jobCtx.Done():
 		p.s.cfg.Tenants.ReleaseTasks(p.tenant, 1)
 	}
@@ -1447,7 +1335,8 @@ func (p *pump) bucketReadySteps(st *famState) {
 		if !ok {
 			return
 		}
-		if p.attempts[stepKey{st.fam.ID, step}] == 0 {
+		r := stepRef{famID: st.fam.ID, step: step, rec: st.plan.Record(step)}
+		if r.rec.Attempts == 0 {
 			if key, ok := p.stepCacheKey(st, step); ok {
 				if md, hit := p.s.cfg.Cache.Get(key); hit {
 					p.completeFromCache(st, step, md, key)
@@ -1457,7 +1346,7 @@ func (p *pump) bucketReadySteps(st *famState) {
 				p.s.obsCacheMisses.Inc()
 			}
 		}
-		p.dispatch(st, step, p.groupFiles(st, step.GroupID))
+		p.dispatch(st, r, p.groupFiles(st, step.GroupID))
 	}
 }
 
@@ -1532,28 +1421,29 @@ func (p *pump) groupFiles(st *famState, groupID string) map[string]string {
 }
 
 // handleTerminal resolves one finished/lost task against family plans.
-// hedge marks the task as a speculative duplicate (its completions count
-// as hedge wins when they claim steps first).
-func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hedge bool) {
+// A result carries one outcome per step the task carried, in order.
+func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef) {
 	touched := make(map[string]*famState)
 	// perStepE2E is the task's submit→terminal latency split across its
 	// steps — the span the hedge deadline is armed over, so queue wait at
-	// the endpoint is priced into future deadlines. Zero when hedging is
-	// off; the estimator then sees raw execution time (it has no consumer
-	// in that mode).
+	// the endpoint is priced into future deadlines. Zero for a task with
+	// no record (hedging off); the estimator then sees raw execution
+	// time (it has no consumer in that mode). hedge marks a speculative
+	// duplicate, whose completions count as hedge wins when they claim
+	// steps first.
 	var perStepE2E time.Duration
-	if p.hedging() {
-		// The task is over: retire its attempts and drop its hedge
-		// bookkeeping before the per-step resolution below consults them.
-		if t0, ok := p.taskSubmitted[id]; ok && len(refs) > 0 {
-			perStepE2E = p.s.clk.Now().Sub(t0) / time.Duration(len(refs))
+	var hedge bool
+	if t, ok := p.tasks[id]; ok {
+		if len(refs) > 0 {
+			perStepE2E = p.s.clk.Now().Sub(t.submitted) / time.Duration(len(refs))
 		}
-		delete(p.taskSubmitted, id)
-		delete(p.hedgeTasks, id)
-		delete(p.taskRefs, id)
-		for _, r := range refs {
-			p.attemptDone(stepKey{r.famID, r.step})
-		}
+		hedge = t.hedge
+		delete(p.tasks, id)
+	}
+	// The task is over: retire its attempts before the per-step
+	// resolution below consults them.
+	for _, r := range refs {
+		r.attemptDone()
 	}
 
 	switch info.Status {
@@ -1561,11 +1451,11 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 		var result taskResult
 		if err := decodeTaskResult(info.Result, &result); err != nil {
 			for _, r := range refs {
-				if p.stepMoot(stepKey{r.famID, r.step}) {
+				if r.moot() {
 					continue
 				}
 				if st, ok := p.states[r.famID]; ok {
-					p.retryOrDeadLetter(st, r.step, "bad_result", err.Error())
+					p.retryOrDeadLetter(st, r, "bad_result", err.Error())
 					touched[r.famID] = st
 				}
 			}
@@ -1575,13 +1465,13 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 		p.s.obs.Emitf(p.jobID, obs.EvTaskCompleted, "task=%s extractor=%s outcomes=%d",
 			id, result.Extractor, len(result.Outcomes))
 		for i, outc := range result.Outcomes {
-			step := scheduler.Step{GroupID: outc.GroupID, Extractor: result.Extractor}
-			if i < len(refs) {
-				step = refs[i].step
+			if i >= len(refs) {
+				break
 			}
-			fence := stepKey{outc.FamilyID, step}
-			if p.hedging() && outc.OK && p.doneSteps[fence] {
-				// Exactly-once fence: another attempt already claimed this
+			r := refs[i]
+			step := r.step
+			if outc.OK && r.rec.Status == scheduler.StepDone {
+				// Exactly-once fence: another attempt already completed this
 				// step, so every side effect — plan advance, cache
 				// write-back, journal record, billing, stats — has run
 				// exactly once. This duplicate is counted and discarded.
@@ -1589,20 +1479,18 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 				p.s.obsHedgeFenced.Inc()
 				continue
 			}
-			st, ok := p.states[outc.FamilyID]
+			st, ok := p.states[r.famID]
 			if !ok {
 				continue
 			}
 			dur := time.Duration(outc.ExtractMS * float64(time.Millisecond))
 			if outc.OK {
-				if p.hedging() {
-					p.doneSteps[fence] = true
-					if hedge {
-						p.hedgeWins++
-						p.s.obsHedgeWins.Inc()
-					}
-					p.cancelLosers(fence, id)
+				st.plan.Complete(step, outc.Metadata)
+				if hedge {
+					p.hedgeWins++
+					p.s.obsHedgeWins.Inc()
 				}
+				p.cancelLosers(r, id)
 				if perStepE2E > 0 {
 					p.s.estimator.Observe(step.Extractor, perStepE2E)
 				} else {
@@ -1612,7 +1500,6 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 					GroupID: outc.GroupID, Extractor: step.Extractor,
 					OK: true, Duration: dur,
 				})
-				st.plan.Complete(step, outc.Metadata)
 				st.results[outc.GroupID+"/"+step.Extractor] = outc.Metadata
 				// Remember the fresh result so a later run over identical
 				// content replays it instead of re-extracting.
@@ -1626,23 +1513,23 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 				p.s.obsGroupsProcessed.Inc()
 				p.s.stepDurationHist(step.Extractor).ObserveDuration(dur)
 			} else {
-				if p.stepMoot(fence) {
+				if r.moot() {
 					continue // a hedge attempt owns this step's fate
 				}
 				// The extractor ran and reported failure; retry in case the
 				// fault was transient, then quarantine.
-				p.retryOrDeadLetter(st, step, "step_error", outc.Err)
+				p.retryOrDeadLetter(st, r, "step_error", outc.Err)
 			}
-			touched[outc.FamilyID] = st
+			touched[r.famID] = st
 		}
 	case faas.TaskFailed:
 		p.s.obs.Emitf(p.jobID, obs.EvTaskFailed, "task=%s steps=%d err=%s", id, len(refs), info.Err)
 		for _, r := range refs {
-			if p.stepMoot(stepKey{r.famID, r.step}) {
+			if r.moot() {
 				continue // cancelled loser or covered by a live attempt
 			}
 			if st, ok := p.states[r.famID]; ok {
-				p.retryOrDeadLetter(st, r.step, "failed", info.Err)
+				p.retryOrDeadLetter(st, r, "failed", info.Err)
 				touched[r.famID] = st
 			}
 		}
@@ -1652,11 +1539,11 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 		p.s.obs.Emitf(p.jobID, obs.EvTaskLost, "task=%s steps=%d", id, len(refs))
 		requeued := 0
 		for _, r := range refs {
-			if p.stepMoot(stepKey{r.famID, r.step}) {
+			if r.moot() {
 				continue
 			}
 			if st, ok := p.states[r.famID]; ok {
-				if p.retryOrDeadLetter(st, r.step, "lost", info.Err) {
+				if p.retryOrDeadLetter(st, r, "lost", info.Err) {
 					requeued++
 				}
 				touched[r.famID] = st
@@ -1685,6 +1572,15 @@ func (p *pump) finishIfDone(st *famState) {
 		return
 	}
 	delete(p.states, st.fam.ID)
+	if st.staged && st.site.DeleteStaged {
+		// The family is terminal, so no later step can still need its
+		// staged copies (a step suggested by another's metadata reads
+		// them after the first step has finished). Best effort: a copy
+		// that cannot be deleted costs only stage space.
+		for _, staged := range st.pathMap {
+			_ = st.site.Store.Delete(staged)
+		}
+	}
 	if st.deadLettered > 0 {
 		stragglers := int64(p.s.cfg.StragglerBudget)
 		if stragglers <= 0 || p.deadLettered > stragglers {

@@ -43,8 +43,8 @@ type Site struct {
 	Compute *faas.Endpoint
 	// StagePath is the directory staged (prefetched) files land in.
 	StagePath string
-	// DeleteStaged removes staged files after extraction (the
-	// family_batch.delete_files flag of Listing 1).
+	// DeleteStaged removes a family's staged files once the family is
+	// terminal (the family_batch.delete_files flag of Listing 1).
 	DeleteStaged bool
 	// DirectFetch makes workers at this site download remote files
 	// per-file through the transfer fabric at extraction time instead of

@@ -497,7 +497,6 @@ func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 		famQ:     famQ,
 		states:   make(map[string]*famState),
 		staging:  make(map[string]*famState),
-		attempts: make(map[stepKey]int),
 		seenFams: make(map[string]bool),
 	}
 

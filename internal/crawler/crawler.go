@@ -40,6 +40,16 @@ type Stats struct {
 	ListErrors      int64
 }
 
+// Add sums o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.DirsListed += o.DirsListed
+	s.FilesSeen += o.FilesSeen
+	s.GroupsFormed += o.GroupsFormed
+	s.FamiliesEmitted += o.FamiliesEmitted
+	s.BytesSeen += o.BytesSeen
+	s.ListErrors += o.ListErrors
+}
+
 // Crawler traverses a store and emits families onto an output queue.
 type Crawler struct {
 	// Store is the storage system to crawl.

@@ -35,7 +35,7 @@ type SiteSpec struct {
 	Workers int
 	// StagePath receives prefetched files (default "/xtract-stage").
 	StagePath string
-	// DeleteStaged removes staged copies after extraction.
+	// DeleteStaged removes a family's staged copies once it finishes.
 	DeleteStaged bool
 	// DirectFetch makes this site's workers download remote files
 	// per-file at extraction time instead of batch-prefetching (for

@@ -146,27 +146,32 @@ type task struct {
 	subs []*CompletionSink
 }
 
-// setStatus transitions the task, returning false if it was already
-// terminal (e.g., marked lost while the handler was still running).
-func (t *task) setStatus(s TaskStatus) bool {
+// finish is the task's one terminal transition: under the task lock it
+// records the final status, error text, result, and finish time, closes
+// doneCh, and takes the subscriber list; it then pushes the final
+// snapshot to each subscriber and returns it. It returns false, changing
+// nothing, when the task already was terminal (e.g., marked lost while
+// its handler was still running). Notify registers under the same lock,
+// so every sink sees each task exactly once.
+func (t *task) finish(status TaskStatus, errText string, result []byte, finished time.Time) (TaskInfo, bool) {
 	t.mu.Lock()
 	if t.info.Status.Terminal() {
 		t.mu.Unlock()
-		return false
+		return TaskInfo{}, false
 	}
-	t.info.Status = s
-	var info TaskInfo
-	var subs []*CompletionSink
-	if s.Terminal() {
-		close(t.doneCh)
-		info = t.info
-		subs, t.subs = t.subs, nil
-	}
+	t.info.Status = status
+	t.info.Err = errText
+	t.info.Result = result
+	t.info.Finished = finished
+	close(t.doneCh)
+	info := t.info
+	subs := t.subs
+	t.subs = nil
 	t.mu.Unlock()
 	for _, sub := range subs {
 		sub.push(info)
 	}
-	return true
+	return info, true
 }
 
 // CompletionSink is a terminal-event subscription endpoint: tasks
@@ -449,10 +454,7 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 				err = r.ep.enqueue(t, r.fns[i], s.costs.DispatchPerTask)
 			}
 			if err != nil {
-				t.mu.Lock()
-				t.info.Err = err.Error()
-				t.mu.Unlock()
-				t.setStatus(TaskLost)
+				t.finish(TaskLost, err.Error(), nil, time.Time{}) // fresh task: never already terminal
 				s.TasksLost.Inc()
 				s.obsLost.Inc()
 			}
@@ -542,12 +544,10 @@ func (s *Service) endpointLost(epID string) {
 	}
 	s.mu.Unlock()
 	for _, t := range lost {
-		t.mu.Lock()
-		t.info.Err = ErrEndpointStopped.Error()
-		t.mu.Unlock()
-		t.setStatus(TaskLost)
-		s.TasksLost.Inc()
-		s.obsLost.Inc()
+		if _, ok := t.finish(TaskLost, ErrEndpointStopped.Error(), nil, time.Time{}); ok {
+			s.TasksLost.Inc()
+			s.obsLost.Inc()
+		}
 	}
 }
 
@@ -572,42 +572,31 @@ func (s *Service) CheckHeartbeats() []string {
 }
 
 // taskFinished records completion bookkeeping and result-return latency.
-// It is a no-op for tasks already marked lost.
+// It is a no-op for tasks already terminal (lost or cancelled).
 func (s *Service) taskFinished(t *task, result []byte, err error) {
 	s.clk.Sleep(s.costs.ResultPerTask)
-	t.mu.Lock()
-	if t.info.Status.Terminal() {
-		t.mu.Unlock()
+	status, errText := TaskSuccess, ""
+	if err != nil {
+		status, errText, result = TaskFailed, err.Error(), nil
+	}
+	info, ok := t.finish(status, errText, result, s.clk.Now())
+	if !ok {
 		return
 	}
-	t.info.Finished = s.clk.Now()
-	latency := t.info.Finished.Sub(t.info.Submitted)
 	if err != nil {
-		t.info.Err = err.Error()
-		t.info.Status = TaskFailed
 		s.obsFailed.Inc()
 	} else {
-		t.info.Result = result
-		t.info.Status = TaskSuccess
 		s.obsCompleted.Inc()
 	}
-	close(t.doneCh)
-	info := t.info
-	var subs []*CompletionSink
-	subs, t.subs = t.subs, nil
-	t.mu.Unlock()
-	for _, sub := range subs {
-		sub.push(info)
-	}
 	s.TasksCompleted.Inc()
-	s.obsTaskLatency.ObserveDuration(latency)
+	s.obsTaskLatency.ObserveDuration(info.Finished.Sub(info.Submitted))
 }
 
 // CancelTask force-fails a non-terminal task with ErrTaskCancelled,
 // reporting whether it made the transition. This is the loser-kill half
 // of hedged speculative execution: a duplicate still queued never runs
 // (workers skip terminal tasks), and one already executing has its
-// result discarded by the terminal-status fence in taskFinished. The
+// result discarded by the terminal-status fence in finish. The
 // cancellation is delivered to completion sinks like any other terminal
 // state, so the dispatcher's outstanding-task accounting drains
 // normally.
@@ -618,23 +607,8 @@ func (s *Service) CancelTask(id string) bool {
 	if !ok {
 		return false
 	}
-	t.mu.Lock()
-	if t.info.Status.Terminal() {
-		t.mu.Unlock()
-		return false
-	}
-	t.info.Err = ErrTaskCancelled.Error()
-	t.info.Finished = s.clk.Now()
-	t.info.Status = TaskFailed
-	close(t.doneCh)
-	info := t.info
-	var subs []*CompletionSink
-	subs, t.subs = t.subs, nil
-	t.mu.Unlock()
-	for _, sub := range subs {
-		sub.push(info)
-	}
-	return true
+	_, ok = t.finish(TaskFailed, ErrTaskCancelled.Error(), nil, s.clk.Now())
+	return ok
 }
 
 // Notify subscribes sink to the terminal events of the given tasks: each

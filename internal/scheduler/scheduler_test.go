@@ -117,6 +117,41 @@ func TestPlanResetRequeuesLostStep(t *testing.T) {
 	p.Reset(Step{GroupID: "zzz", Extractor: "none"})
 }
 
+// TestPlanStepRecordStatus walks one step through every status its
+// record can take and checks the plan's counts stay consistent.
+func TestPlanStepRecordStatus(t *testing.T) {
+	p := BuildPlan(testFamily())
+	s, _ := p.Next()
+	r := p.Record(s)
+	steps := []struct {
+		do                    func()
+		want                  StepStatus
+		pending, issued, done int
+	}{
+		{func() {}, StepIssued, 1, 1, 0},
+		{func() { p.Reset(s) }, StepPending, 2, 0, 0},
+		{func() { p.Next(); p.Next() }, StepIssued, 0, 2, 0},
+		{func() { p.Complete(s, nil) }, StepDone, 0, 1, 1},
+		{func() { p.Fail(s); p.Reset(s) }, StepDone, 0, 1, 1}, // final: no-ops
+	}
+	for i, st := range steps {
+		st.do()
+		pe, is, dn := p.Counts()
+		if r.Status != st.want || pe != st.pending || is != st.issued || dn != st.done {
+			t.Fatalf("step %d: status %d counts %d/%d/%d, want %d and %d/%d/%d",
+				i, r.Status, pe, is, dn, st.want, st.pending, st.issued, st.done)
+		}
+	}
+	other := Step{GroupID: "g2", Extractor: "tabular"}
+	p.Fail(other)
+	if p.Record(other).Status != StepFailed || !p.Done() {
+		t.Fatalf("dead-lettered last step: status %d, done %v", p.Record(other).Status, p.Done())
+	}
+	if p.Record(Step{GroupID: "zzz", Extractor: "none"}) != nil {
+		t.Fatal("record for a step the plan never held")
+	}
+}
+
 func TestPlanString(t *testing.T) {
 	p := BuildPlan(testFamily())
 	if p.String() == "" {
